@@ -1,9 +1,9 @@
 package detector
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dyngran"
 	"repro/internal/vc"
@@ -44,24 +44,70 @@ var figure2Allowed = map[string]map[string]bool{
 	"Race":    {"Race": true, "none": true},
 }
 
-// TestFigure2TransitionModel drives random instrumentation sequences and
+// figure2Seeds is the fixed seed range TestFigure2TransitionModel walks.
+// Seeds 529 and 2649 and the large negative seed each reached a split or
+// merge that overwrote a slot owned by another node (a hole filled after
+// its neighbours merged), orphaning that node; they stay in the range as
+// regressions.
+func figure2Seeds() []int64 {
+	seeds := []int64{-6984690169026531308}
+	for s := int64(0); s < 3000; s++ {
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
+// checkShadowOwnership asserts the planes' ownership invariants over
+// [lo, hi): every set slot's node covers that slot, and the distinct nodes
+// reachable from the slots are exactly the live nodes the accounting
+// counts (an orphaned node is live in NodesCur but reachable from no slot).
+func checkShadowOwnership(d *Detector, lo, hi uint64) error {
+	var seen []*dyngran.Node
+	var err error
+	for _, p := range []*dyngran.Plane{d.read, d.write} {
+		p.Tab.ForRange(lo, hi, func(a uint64, n *dyngran.Node) bool {
+			if a < n.Lo || a >= n.Hi {
+				err = fmt.Errorf("slot %#x points at node [%#x,%#x)", a, n.Lo, n.Hi)
+				return false
+			}
+			for _, m := range seen {
+				if m == n {
+					return true
+				}
+			}
+			seen = append(seen, n)
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if cur := d.stats.Plane.NodesCur; int64(len(seen)) != cur {
+		return fmt.Errorf("%d nodes reachable from slots, NodesCur %d", len(seen), cur)
+	}
+	return nil
+}
+
+// TestFigure2TransitionModel drives seeded instrumentation sequences and
 // asserts that a tracked location's observable state only ever moves along
-// Figure 2's edges.
+// Figure 2's edges, and that after every operation the shadow planes keep
+// their ownership invariants.
 func TestFigure2TransitionModel(t *testing.T) {
 	const tracked = uint64(0x120)
-	f := func(seed int64) bool {
+	const lo, hi = uint64(0x100), uint64(0x140)
+	for _, seed := range figure2Seeds() {
 		rng := rand.New(rand.NewSource(seed))
 		d := New(Config{Granularity: Dynamic})
 		d.Fork(0, 1)
 		prev := stateOf(d, tracked)
 		for op := 0; op < 400; op++ {
 			tid := vc.TID(rng.Intn(2))
-			addr := 0x100 + uint64(rng.Intn(16))*4
+			addr := lo + uint64(rng.Intn(16))*4
 			switch rng.Intn(10) {
 			case 0:
 				d.Release(tid, 1)
 			case 1:
-				d.Free(tid, 0x100, 64)
+				d.Free(tid, lo, hi-lo)
 			case 2:
 				d.Read(tid, addr, 4, 1)
 			default:
@@ -69,15 +115,13 @@ func TestFigure2TransitionModel(t *testing.T) {
 			}
 			cur := stateOf(d, tracked)
 			if !figure2Allowed[prev][cur] {
-				t.Logf("seed %d op %d: illegal transition %s → %s", seed, op, prev, cur)
-				return false
+				t.Fatalf("seed %d op %d: illegal transition %s → %s", seed, op, prev, cur)
+			}
+			if err := checkShadowOwnership(d, lo, hi); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 			prev = cur
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 

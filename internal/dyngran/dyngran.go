@@ -106,6 +106,11 @@ type Node struct {
 
 	// PC is the code site of the last recorded access, kept for reports.
 	PC event.PC
+
+	// gen is the plane generation of the last DropRange that collected the
+	// node (0: never, or since recycling). It sits in what would otherwise
+	// be tail padding, so a Node stays 64 bytes.
+	gen uint32
 }
 
 // SetState records a state transition: the new state is pushed onto the
@@ -203,6 +208,10 @@ type Plane struct {
 	// scratch is DropRange's reusable collection buffer, so steady-state
 	// Free events (malloc/free churn) never allocate.
 	scratch []*Node
+	// gen is the current DropRange generation (see Node.gen); slabs lists
+	// every arena slab so a generation wrap can reset all stamps.
+	gen   uint32
+	slabs [][]Node
 }
 
 // arenaChunk is the slab size for node allocation: one heap allocation
@@ -232,6 +241,7 @@ func (p *Plane) alloc() *Node {
 	}
 	if len(p.arena) == 0 {
 		p.arena = make([]Node, arenaChunk)
+		p.slabs = append(p.slabs, p.arena)
 	}
 	n := &p.arena[0]
 	p.arena = p.arena[1:]
@@ -304,6 +314,8 @@ func (p *Plane) NewNode(lo, hi uint64, state State) *Node {
 // clone allocates a copy of n covering [lo, hi) with an independent clock
 // (the read vector, if inflated, is shared copy-on-write through the
 // plane's pool — either side's next mutation splits off its own array).
+// Only n's own slots in [lo, hi) move to the copy; slots of other nodes in
+// that range stay theirs.
 func (p *Plane) clone(n *Node, lo, hi uint64, locs int32) *Node {
 	c := p.alloc()
 	c.W = n.W
@@ -316,7 +328,7 @@ func (p *Plane) clone(n *Node, lo, hi uint64, locs int32) *Node {
 	c.Reported = n.Reported
 	c.PC = n.PC
 	p.account(c, +1)
-	p.Tab.SetRange(lo, hi, c)
+	p.Tab.ReplaceRange(lo, hi, n, c)
 	return c
 }
 
@@ -331,12 +343,14 @@ func (p *Plane) release(n *Node) {
 	p.free = append(p.free, n)
 }
 
-// hasCells reports whether any shadow slot in [lo, hi) is set.
-func (p *Plane) hasCells(lo, hi uint64) bool {
+// hasCells reports whether any shadow slot in [lo, hi) points at n. Slots
+// of other nodes do not count: a node's range may contain a hole owned by
+// a different node, and those slots are not n's to keep alive.
+func (p *Plane) hasCells(n *Node, lo, hi uint64) bool {
 	found := false
-	p.Tab.ForRange(lo, hi, func(uint64, *Node) bool {
-		found = true
-		return false
+	p.Tab.ForRange(lo, hi, func(_ uint64, v *Node) bool {
+		found = v == n
+		return !found
 	})
 	return found
 }
@@ -351,8 +365,8 @@ func (p *Plane) Split(n *Node, lo, hi uint64) *Node {
 	if n.Lo == lo && n.Hi == hi {
 		return n // nothing to carve
 	}
-	leftLive := lo > n.Lo && p.hasCells(n.Lo, lo)
-	rightLive := hi < n.Hi && p.hasCells(hi, n.Hi)
+	leftLive := lo > n.Lo && p.hasCells(n, n.Lo, lo)
+	rightLive := hi < n.Hi && p.hasCells(n, hi, n.Hi)
 
 	remainder := n.Locs - 1
 	if remainder < 1 {
@@ -398,14 +412,15 @@ func (p *Plane) Split(n *Node, lo, hi uint64) *Node {
 
 // Merge folds node src into dst (they must be neighbours with the same
 // clock): every slot of src repoints to dst and dst's range grows to the
-// union. Returns dst.
+// union. Slots of other nodes inside src's range are left alone. Returns
+// dst.
 func (p *Plane) Merge(dst, src *Node) *Node {
 	if dst == src {
 		return dst
 	}
 	p.St.Merges++
 	p.Met.Merges.Inc()
-	p.Tab.SetRange(src.Lo, src.Hi, dst)
+	p.Tab.ReplaceRange(src.Lo, src.Hi, src, dst)
 	if src.Lo < dst.Lo {
 		dst.Lo = src.Lo
 	}
@@ -615,22 +630,22 @@ func (p *Plane) DeflateReads(lo, hi uint64, tc vc.View) {
 
 // DropRange discards all shadow state in [lo, hi) — the free() path. Nodes
 // fully inside the range are released; nodes straddling a boundary are
-// shrunk.
+// shrunk, and released when the part left to them holds none of their own
+// slots.
 func (p *Plane) DropRange(lo, hi uint64) {
 	// Collect each node once. Adjacent-only dedup is not enough: a merge of
 	// two pieces around an interior hole leaves a node whose range contains
 	// slots owned by a later hole-filling node, so the same node can appear
 	// in non-contiguous slot runs — and a double release would push it onto
-	// the freelist twice (aliased reuse). The per-block node count is small
-	// (≤ 32), so a linear membership scan stays cheap.
+	// the freelist twice (aliased reuse). Stamping each collected node with
+	// this call's generation makes the membership test O(1) per slot.
+	gen := p.nextGen()
 	nodes := p.scratch[:0]
 	p.Tab.ForRange(lo, hi, func(_ uint64, n *Node) bool {
-		for _, m := range nodes {
-			if m == n {
-				return true
-			}
+		if n.gen != gen {
+			n.gen = gen
+			nodes = append(nodes, n)
 		}
-		nodes = append(nodes, n)
 		return true
 	})
 	for _, n := range nodes {
@@ -639,26 +654,17 @@ func (p *Plane) DropRange(lo, hi uint64) {
 			p.release(n)
 		case n.Lo < lo && n.Hi > hi:
 			// Straddles both ends: keep left in n, clone the right tail.
-			if p.hasCells(hi, n.Hi) {
+			if p.hasCells(n, hi, n.Hi) {
 				p.clone(n, hi, n.Hi, 1)
 			}
 			n.Hi = lo
-			if !p.hasCells(n.Lo, n.Hi) {
-				p.Tab.ClearRange(n.Lo, n.Hi)
-				p.release(n)
-			}
+			p.releaseIfUnowned(n)
 		case n.Lo < lo:
 			n.Hi = lo
-			if !p.hasCells(n.Lo, n.Hi) {
-				p.Tab.ClearRange(n.Lo, n.Hi)
-				p.release(n)
-			}
+			p.releaseIfUnowned(n)
 		default: // n.Hi > hi
 			n.Lo = hi
-			if !p.hasCells(n.Lo, n.Hi) {
-				p.Tab.ClearRange(n.Lo, n.Hi)
-				p.release(n)
-			}
+			p.releaseIfUnowned(n)
 		}
 	}
 	for i := range nodes {
@@ -666,6 +672,33 @@ func (p *Plane) DropRange(lo, hi uint64) {
 	}
 	p.scratch = nodes[:0]
 	p.Tab.ClearRange(lo, hi)
+}
+
+// releaseIfUnowned releases a node shrunk by DropRange when no slot of its
+// remaining range points at it. Its slots inside the dropped range are
+// cleared by DropRange itself, and any other slot in its range belongs to
+// another node, so there is nothing to clear here.
+func (p *Plane) releaseIfUnowned(n *Node) {
+	if !p.hasCells(n, n.Lo, n.Hi) {
+		p.release(n)
+	}
+}
+
+// nextGen advances the plane's DropRange generation. Fresh and recycled
+// nodes carry stamp 0, so 0 is skipped; on wrap-around every node's stamp
+// is reset first, so a stamp left 2^32 generations ago cannot pass for the
+// new generation.
+func (p *Plane) nextGen() uint32 {
+	p.gen++
+	if p.gen == 0 {
+		for _, slab := range p.slabs {
+			for i := range slab {
+				slab[i].gen = 0
+			}
+		}
+		p.gen = 1
+	}
+	return p.gen
 }
 
 // AvgSharing returns the average number of locations sharing one clock

@@ -98,6 +98,9 @@ func TestEndToEndWorkload(t *testing.T) {
 	if rep.Stats.Accesses != ref.Stats().Accesses {
 		t.Fatalf("Accesses: in-process %d, remote %d", ref.Stats().Accesses, rep.Stats.Accesses)
 	}
+	// The server writes the report before it retires the session and
+	// counts its races, so the client can get here first.
+	waitFor(t, "session retired", 5*time.Second, func() bool { return srv.Metrics().SessionsActive == 0 })
 	m := srv.Metrics()
 	if m.SessionsTotal != 1 || m.SessionsActive != 0 || m.EventsTotal == 0 {
 		t.Fatalf("unexpected metrics after clean session: %+v", m)

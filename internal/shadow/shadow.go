@@ -332,6 +332,39 @@ func (t *Table[T]) SetRange(lo, hi uint64, v T) {
 	}
 }
 
+// ReplaceRange repoints the slots in [lo, hi) that hold old at v and leaves
+// every other slot — empty, or owned by a different node — untouched. A
+// node's range may contain slots of another node (a hole filled after the
+// two pieces around it merged), so moving a node's slots to a new owner
+// must not overwrite them the way SetRange would. Entries expand exactly
+// as SetRange expands them, so accounting matches a SetRange of the same
+// range; missing entries are not created (they hold no slot of old). old
+// and v must be non-zero.
+func (t *Table[T]) ReplaceRange(lo, hi uint64, old, v T) {
+	for lo < hi {
+		blockEnd := (lo | blockMask) + 1
+		end := hi
+		if end > blockEnd {
+			end = blockEnd
+		}
+		if e := t.find(lo >> blockShift); e != nil {
+			if !e.dense && !aligned(lo, end) {
+				e.expand(t)
+			}
+			step := uint64(4)
+			if e.dense {
+				step = 1
+			}
+			for a := lo; a < end; a += step {
+				if i := e.slotIndex(a); e.slots[i] == old {
+					e.slots[i] = v
+				}
+			}
+		}
+		lo = end
+	}
+}
+
 // ClearRange erases every slot in [lo, hi), removing entries that become
 // empty (the free() path).
 func (t *Table[T]) ClearRange(lo, hi uint64) {

@@ -296,3 +296,47 @@ func TestQuickExpansionTransparent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReplaceRangeOwnership moves one node's slots to another while a hole
+// inside the range belongs to a third node and a gap is empty: only the old
+// owner's slots change, the entry's slot count does not, and no entry is
+// created for a block the range only passes through.
+func TestReplaceRangeOwnership(t *testing.T) {
+	tab := New[*node]()
+	a, hole, c := &node{1}, &node{2}, &node{3}
+	tab.SetRange(0x100, 0x108, a)
+	tab.SetRange(0x108, 0x10c, hole)
+	tab.SetRange(0x110, 0x118, a) // [0x10c,0x110) stays empty
+	entries, bytes := tab.Entries(), tab.Bytes()
+
+	tab.ReplaceRange(0x100, 0x200, a, c)
+	for addr, want := range map[uint64]*node{
+		0x100: c, 0x104: c, 0x108: hole, 0x10c: nil, 0x110: c, 0x114: c, 0x118: nil, 0x180: nil,
+	} {
+		if got := tab.Get(addr); got != want {
+			t.Errorf("Get(%#x) = %v, want %v", addr, got, want)
+		}
+	}
+	if tab.Entries() != entries || tab.Bytes() != bytes {
+		t.Errorf("entries/bytes %d/%d, want %d/%d", tab.Entries(), tab.Bytes(), entries, bytes)
+	}
+	tab.ClearRange(0x100, 0x118)
+	if tab.Entries() != 0 {
+		t.Errorf("slot count drifted: %d entries left after clearing every slot", tab.Entries())
+	}
+}
+
+// TestReplaceRangeUnalignedExpands splits a word slot: an unaligned
+// boundary expands the entry to byte slots, exactly as SetRange would.
+func TestReplaceRangeUnalignedExpands(t *testing.T) {
+	tab := New[*node]()
+	a, c := &node{1}, &node{3}
+	tab.SetRange(0x100, 0x108, a)
+	tab.ReplaceRange(0x102, 0x108, a, c)
+	if _, dense := tab.EntryDense(0x100); !dense {
+		t.Fatal("unaligned replace must expand the entry")
+	}
+	if tab.Get(0x101) != a || tab.Get(0x102) != c || tab.Get(0x107) != c {
+		t.Errorf("slots: %v %v %v", tab.Get(0x101), tab.Get(0x102), tab.Get(0x107))
+	}
+}

@@ -26,6 +26,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/event"
@@ -53,9 +54,8 @@ type Options struct {
 	// Deadline, when non-zero, stops scheduling once the wall clock passes
 	// it; Stats.TimedOut is set. The harness uses this to emulate the
 	// paper's ">24 hours, analysis stopped" outcomes within a benchmark
-	// budget. Virtual threads that have not finished are abandoned (their
-	// goroutines stay parked until process exit), so a timed-out run's
-	// engine is not reusable.
+	// budget. Virtual threads that have not finished are unwound before
+	// Run returns.
 	Deadline time.Time
 }
 
@@ -138,7 +138,16 @@ type Engine struct {
 
 	threads  []*Thread
 	runnable []*Thread
-	parked   chan struct{}
+	// done is signalled by the thread that finds nothing left to schedule
+	// (or, while unwinding, by each abandoned thread as it exits); Run waits
+	// on it.
+	done chan struct{}
+
+	checkDeadline bool
+	timedOut      bool
+	// unwinding is set once the run is over; parked threads woken after
+	// that exit instead of resuming their bodies.
+	unwinding bool
 
 	locks    []*lockState
 	barriers []*barrierState
@@ -190,19 +199,22 @@ func Run(p Program, sink event.Sink, opts Options) Stats {
 		opts.Quantum = 64
 	}
 	e := &Engine{
-		sink:   sink,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		opts:   opts,
-		parked: make(chan struct{}),
+		sink:          sink,
+		rng:           rand.New(rand.NewSource(opts.Seed)),
+		opts:          opts,
+		done:          make(chan struct{}),
+		checkDeadline: !opts.Deadline.IsZero(),
 	}
 	e.heap.init()
 
 	main := e.newThread(p.Main)
 	e.runnable = append(e.runnable, main)
-	timedOut := e.schedule(p.Name)
-
-	return Stats{
-		TimedOut:      timedOut,
+	if t := e.pick(); t != nil {
+		t.resume <- struct{}{}
+		<-e.done
+	}
+	st := Stats{
+		TimedOut:      e.timedOut,
 		Events:        e.events,
 		Accesses:      e.accesses,
 		Threads:       len(e.threads),
@@ -211,6 +223,8 @@ func Run(p Program, sink event.Sink, opts Options) Stats {
 		Mallocs:       e.heap.mallocs,
 		Frees:         e.heap.frees,
 	}
+	e.finish(p.Name)
+	return st
 }
 
 func (e *Engine) newThread(body func(*Thread)) *Thread {
@@ -228,60 +242,120 @@ func (e *Engine) newThread(body func(*Thread)) *Thread {
 }
 
 func (t *Thread) run() {
-	<-t.resume
+	e := t.eng
+	finished := false
+	defer func() {
+		// Reached without finishing only through runtime.Goexit in wait:
+		// the run is over and this thread is being unwound.
+		if !finished {
+			e.done <- struct{}{}
+		}
+	}()
+	t.wait()
 	func() {
 		// Program errors (double free, bad unlock, event budget) panic on
 		// the virtual thread's goroutine; forward them so they surface
-		// from Run on the caller's goroutine.
+		// from Run on the caller's goroutine. A deferred call that panics
+		// while the thread is being unwound is dropped: the run is over.
 		defer func() {
-			if r := recover(); r != nil {
-				t.eng.fatal = r
+			if r := recover(); r != nil && !e.unwinding {
+				e.fatal = r
 			}
 		}()
 		t.body(t)
 	}()
-	e := t.eng
+	finished = true
 	t.status = statusDone
 	for _, j := range t.joiners {
 		e.makeRunnable(j)
 	}
 	t.joiners = nil
-	e.parked <- struct{}{}
+	var next *Thread
+	if e.fatal == nil {
+		next = e.pick()
+	}
+	e.switchTo(next)
 }
 
-// schedule is the engine main loop: pick a runnable thread, hand it the
-// execution token, wait for it to park (yield, block, or finish). It
-// returns true when the run was abandoned at the deadline.
-func (e *Engine) schedule(name string) bool {
-	checkDeadline := !e.opts.Deadline.IsZero()
-	for len(e.runnable) > 0 {
-		if checkDeadline && time.Now().After(e.opts.Deadline) {
-			return true
-		}
-		i := e.rng.Intn(len(e.runnable))
-		t := e.runnable[i]
-		e.runnable[i] = e.runnable[len(e.runnable)-1]
-		e.runnable = e.runnable[:len(e.runnable)-1]
-
-		t.status = statusRunning
-		t.budget = e.opts.Quantum
-		t.resume <- struct{}{}
-		<-e.parked
-
-		if e.fatal != nil {
-			panic(e.fatal)
-		}
-		if t.status == statusRunning { // quantum expired, still ready
-			t.status = statusReady
-			e.runnable = append(e.runnable, t)
-		}
+// pick is the scheduling decision: it removes a seeded-random runnable
+// thread from the run queue and readies it to run a fresh quantum. It
+// returns nil when nothing is runnable or the deadline has passed (then
+// timedOut is set). Every switch goes through pick, so the RNG draws — and
+// therefore the schedule — depend only on the seed.
+func (e *Engine) pick() *Thread {
+	if len(e.runnable) == 0 {
+		return nil
 	}
+	if e.checkDeadline && time.Now().After(e.opts.Deadline) {
+		e.timedOut = true
+		return nil
+	}
+	i := e.rng.Intn(len(e.runnable))
+	t := e.runnable[i]
+	e.runnable[i] = e.runnable[len(e.runnable)-1]
+	e.runnable = e.runnable[:len(e.runnable)-1]
+	t.status = statusRunning
+	t.budget = e.opts.Quantum
+	return t
+}
+
+// switchTo hands the execution token to next, or back to Run when next is
+// nil. The caller must not touch engine state afterwards until it is
+// handed the token again.
+func (e *Engine) switchTo(next *Thread) {
+	if next == nil {
+		e.done <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
+// wait blocks until the thread is handed the execution token. A thread
+// woken after the run is over unwinds instead: runtime.Goexit runs the
+// body's deferred calls and ends the goroutine, and no recover can stop
+// it.
+func (t *Thread) wait() {
+	<-t.resume
+	if t.eng.unwinding {
+		runtime.Goexit()
+	}
+}
+
+// finish ends a run: it unwinds the threads a run stopped early left
+// behind (deadline, event budget, program panic, deadlock) and surfaces a
+// forwarded panic or a deadlock.
+func (e *Engine) finish(name string) {
+	var blocked *Thread
 	for _, t := range e.threads {
 		if t.status != statusDone {
-			panic(fmt.Sprintf("sim: deadlock in %q: thread %d blocked at exit", name, t.id))
+			blocked = t
+			break
 		}
 	}
-	return false
+	if blocked != nil {
+		e.unwind()
+	}
+	if e.fatal != nil {
+		panic(e.fatal)
+	}
+	if blocked != nil && !e.timedOut {
+		panic(fmt.Sprintf("sim: deadlock in %q: thread %d blocked at exit", name, blocked.id))
+	}
+}
+
+// unwind ends the goroutine of every unfinished thread, one at a time, so
+// an abandoned run leaves nothing parked behind. Each such goroutine is
+// blocked in wait. Events a body's deferred calls might emit go nowhere,
+// and such a call that would yield or block ends the goroutine instead.
+func (e *Engine) unwind() {
+	e.unwinding = true
+	e.sink = event.Nop{}
+	for _, t := range e.threads {
+		if t.status != statusDone {
+			t.resume <- struct{}{}
+			<-e.done
+		}
+	}
 }
 
 func (e *Engine) makeRunnable(t *Thread) {
@@ -289,10 +363,25 @@ func (e *Engine) makeRunnable(t *Thread) {
 	e.runnable = append(e.runnable, t)
 }
 
-// park hands control back to the scheduler and waits to be resumed.
+// park gives up the execution token: a thread whose quantum ran out (still
+// running) rejoins the run queue, then the next thread is picked and woken
+// directly. Re-picking the parking thread itself costs no switch at all.
 func (t *Thread) park() {
-	t.eng.parked <- struct{}{}
-	<-t.resume
+	e := t.eng
+	if e.unwinding {
+		// A deferred call of a body being unwound tried to schedule.
+		runtime.Goexit()
+	}
+	if t.status == statusRunning {
+		t.status = statusReady
+		e.runnable = append(e.runnable, t)
+	}
+	next := e.pick()
+	if next == t {
+		return
+	}
+	e.switchTo(next)
+	t.wait()
 }
 
 // countEvent accounts one delivered event against the run's event budget

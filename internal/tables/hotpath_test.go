@@ -1,6 +1,12 @@
 package tables
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"repro/internal/event"
+	"repro/workloads"
+)
 
 // TestHotpathBenchGates runs the hot-path lane on its locality anchor and
 // one honest negative and pins the properties BENCH_hotpath.json claims:
@@ -12,12 +18,15 @@ import "testing"
 //     accordingly (both are exact, replay-stable numbers);
 //   - elision only ever shrinks the wire: elide-on bytes <= elide-off
 //     bytes on every workload, including the negatives;
-//   - a coarse timing sanity bound with wide noise headroom: the fully
-//     optimized cell (elide + columnar apply) must not be slower than the
-//     fully unoptimized one (record apply, no elision) on the locality
-//     anchor, where it measures ~0.6x locally.
+//   - a coarse timing sanity bound: the fully optimized cell (elide +
+//     columnar apply) must not be slower than the fully unoptimized one
+//     (record apply, no elision) on the locality anchor, where the
+//     committed BENCH_hotpath.json records ~0.97x. The margin is a few
+//     percent, so the gate compares the two cells in interleaved pairs,
+//     each on fresh copies of the streams, and bounds the median of the
+//     per-pair ratios, not two separate bests.
 func TestHotpathBenchGates(t *testing.T) {
-	r := NewRunner(Config{Seed: 42, TimingRuns: 3})
+	r := NewRunner(Config{Seed: 42, TimingRuns: 1})
 	rows, err := r.HotpathBench([]string{"streamcluster", "canneal"})
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +64,21 @@ func TestHotpathBenchGates(t *testing.T) {
 	if raceDetectorOn {
 		return // timing under -race measures the instrumentation, not the code
 	}
-	best := cell("streamcluster", true, "columnar")
-	if best.NsPerEvent > off.NsPerEvent {
-		t.Errorf("streamcluster: optimized hot path slower than baseline: %.1f vs %.1f ns/event",
-			best.NsPerEvent, off.NsPerEvent)
+	spec, err := workloads.ByName("streamcluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := captureStream(spec, r.cfg.Scale, r.cfg.Seed)
+	elided, _ := elideStream(full)
+	ratio := medianPairedRatio(31, 5, func() (a, b func() time.Duration) {
+		f := append([]event.Rec(nil), full...)
+		e := append([]event.Rec(nil), elided...)
+		cols := chunkCols(e)
+		a = func() time.Duration { d, _ := applyStream(e, cols); return d }
+		b = func() time.Duration { d, _ := applyStream(f, nil); return d }
+		return a, b
+	})
+	if ratio > 1.0 {
+		t.Errorf("streamcluster: optimized hot path slower than baseline: median paired ratio %.3f", ratio)
 	}
 }

@@ -179,8 +179,17 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
+// TestAverageSlowdownOrdering checks the headline ordering on a subset.
+// With an O(1) free path, byte granularity no longer pays a cost quadratic
+// in the nodes of each freed range, and the subset's byte/dynamic margin is
+// ~1.15x rather than ~1.9x; one timing run per configuration flips it on a
+// noisy host, so the timings are the best of five, as the tables take them.
 func TestAverageSlowdownOrdering(t *testing.T) {
-	r := quickRunner()
+	r := NewRunner(Config{
+		Seed:       42,
+		TimingRuns: 5,
+		Benchmarks: []string{"hmmsearch", "ffmpeg", "pbzip2"},
+	})
 	avg := r.AverageSlowdown()
 	if avg[0] <= 0 || avg[1] <= 0 || avg[2] <= 0 {
 		t.Fatalf("avg = %v", avg)
