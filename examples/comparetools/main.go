@@ -42,7 +42,6 @@ func main() {
 		{"drd (segments)", race.Options{Tool: race.DRD}},
 		{"inspector (hybrid)", race.Options{Tool: race.InspectorXE}},
 		{"eraser (lockset)", race.Options{Tool: race.Eraser}},
-		{"multirace (combined)", race.Options{Tool: race.MultiRace}},
 	}
 	for _, tl := range tools {
 		tl.opts.Seed = 42

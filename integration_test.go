@@ -16,7 +16,7 @@ func TestEveryWorkloadUnderEveryTool(t *testing.T) {
 	}
 	tools := []race.Tool{
 		race.FastTrack, race.DJITPlus, race.DRD,
-		race.InspectorXE, race.Eraser, race.MultiRace,
+		race.InspectorXE, race.Eraser,
 	}
 	for _, spec := range workloads.All() {
 		spec := spec

@@ -1,9 +1,9 @@
-// Batch transport: a fixed-size, allocation-recycled encoding of the
-// instrumentation event stream. The sharded detection pipeline
-// (internal/pipeline) encodes events into Batches on the execution thread
-// and ships them to detection workers over channels; sync.Pool reuse keeps
-// the steady-state transport allocation-free. The encoding is also usable
-// on its own (Batch.Apply replays a batch into any Sink).
+// Batch transport: a fixed-size, allocation-recycled record encoding of
+// the instrumentation event stream. The Encoder turns Sink calls into
+// Batches (the remote client frames each one for the wire, and the bench
+// lanes and tests capture streams with it); sync.Pool reuse keeps the
+// steady-state encoding allocation-free. ApplyRec replays one record into
+// any Sink.
 package event
 
 import (
@@ -105,20 +105,14 @@ type Rec struct {
 }
 
 // DefaultBatchSize is the number of records one Batch holds before the
-// encoder ships it. 2048 records ≈ 80 KiB: large enough to amortize channel
-// transfer to well under a nanosecond per event, small enough to keep
+// encoder ships it. 2048 records ≈ 80 KiB: large enough to amortize the
+// hand-off to well under a nanosecond per event, small enough to keep
 // worker latency and pool footprint bounded.
 const DefaultBatchSize = 2048
 
 // Batch is a fixed-capacity run of encoded events.
 type Batch struct {
 	Recs []Rec
-	// Trace and Span carry the distributed-trace context of the client
-	// batch these records came from (0 = unsampled/untraced). They ride the
-	// batch through queues so a pipeline worker can parent its apply span
-	// under the router's dispatch span; they never affect detection.
-	Trace uint64
-	Span  uint64
 }
 
 var batchPool = sync.Pool{
@@ -130,7 +124,6 @@ func GetBatch() *Batch {
 	batchGets.Add(1)
 	b := batchPool.Get().(*Batch)
 	b.Recs = b.Recs[:0]
-	b.Trace, b.Span = 0, 0
 	return b
 }
 
@@ -146,18 +139,6 @@ func (b *Batch) Full() bool { return len(b.Recs) >= DefaultBatchSize }
 
 // Append adds one record.
 func (b *Batch) Append(r Rec) { b.Recs = append(b.Recs, r) }
-
-// Apply replays the batch into s in record order and returns the sequence
-// number of the last record applied (0 when the batch is empty).
-func (b *Batch) Apply(s Sink) uint64 {
-	var seq uint64
-	for i := range b.Recs {
-		r := &b.Recs[i]
-		ApplyRec(s, r)
-		seq = r.Seq
-	}
-	return seq
-}
 
 // ApplyRec dispatches one decoded record to the matching Sink method.
 func ApplyRec(s Sink, r *Rec) {

@@ -39,7 +39,9 @@ func TestEncoderRoundTrip(t *testing.T) {
 	var total int
 	for _, b := range batches {
 		total += len(b.Recs)
-		b.Apply(&replayed)
+		for i := range b.Recs {
+			ApplyRec(&replayed, &b.Recs[i])
+		}
 	}
 	if total != 12 {
 		t.Fatalf("encoded %d records, want 12", total)

@@ -1,5 +1,5 @@
 // Columnar batch transport: a structure-of-arrays view of one event
-// batch. The wire codec's v2 payloads are already columnar on the wire
+// batch. The wire protocol's batch payloads are already columnar
 // (internal/wire AppendColumnar); Cols lets a decoded batch stay columnar
 // all the way to the detector — the server routes over the addr column
 // and ships column segments through the pipeline ring without ever
@@ -28,17 +28,15 @@ type Cols struct {
 	Seqs  []uint64
 
 	// Trace and Span carry the distributed-trace context of the client
-	// batch these records came from (0 = untraced), exactly like
-	// Batch.Trace/Span.
+	// batch these records came from (0 = unsampled/untraced). They ride the
+	// batch through the ring so a pipeline worker can parent its apply span
+	// under the server's dispatch span; they never affect detection.
 	Trace uint64
 	Span  uint64
 }
 
 // Len returns the number of records in the batch.
 func (c *Cols) Len() int { return len(c.Ops) }
-
-// Full reports whether the batch reached the transport capacity.
-func (c *Cols) Full() bool { return len(c.Ops) >= DefaultBatchSize }
 
 // Reset truncates every column to length zero, keeping capacity.
 func (c *Cols) Reset() {

@@ -1,7 +1,7 @@
 // Allocation guard for the worker apply loop: after warm-up, applying a
 // batch of records to a shard detector — the exact body of worker.run —
-// must not allocate. Batch transport is already pooled (event.GetBatch /
-// PutBatch); this pins the detection side of the loop.
+// must not allocate. Batch transport is already pooled (event.GetCols /
+// PutCols); this pins the detection side of the loop.
 package pipeline
 
 import (

@@ -5,9 +5,10 @@
 //
 // # Architecture
 //
-// The Pipeline is an event.Sink. The execution thread encodes every
-// instrumentation event into fixed-size records (internal/event's batch
-// encoding, sync.Pool-recycled) and routes them:
+// The Pipeline is an event.Sink and an event.BatchSink. The execution
+// thread (or the server's ingest loop, through ApplyCols) routes every
+// instrumentation event into per-worker columnar batches (event.Cols,
+// pool-recycled):
 //
 //   - Memory accesses go to exactly one worker, selected by shadow block
 //     number (addr >> shadow.BlockShift mod Workers). Accesses whose
@@ -68,15 +69,10 @@ type Options struct {
 	// Detector is the FastTrack configuration applied to every worker; the
 	// pipeline fills in the Shard/Shards fields.
 	Detector detector.Config
-	// ChannelDepth is the per-worker batch queue depth (0 = default 8;
-	// rounded up to a power of two for ring dispatch). Deeper queues
-	// absorb bursts; the queue bounds memory because batches are
-	// fixed-size.
+	// ChannelDepth is the per-worker ring depth (0 = default 8; rounded
+	// up to a power of two). Deeper rings absorb bursts; the ring bounds
+	// memory because batches are bounded by the flush threshold.
 	ChannelDepth int
-	// Dispatch selects the router→worker transport: "" or "ring" for the
-	// lock-free SPSC ring (default), "chan" for the buffered-channel
-	// baseline the dispatch benchmarks compare against.
-	Dispatch string
 	// BatchPolicy, when non-nil, adapts the router's batch flush
 	// threshold to worker-queue back-pressure (see event.BatchPolicy):
 	// small batches while workers are starved, full batches while they
@@ -133,7 +129,7 @@ type seqRace struct {
 }
 
 type worker struct {
-	q     batchQueue
+	q     *ring
 	det   *detector.Detector
 	races []seqRace
 	// provOn mirrors Config.Provenance: the worker stamps the router's
@@ -151,37 +147,25 @@ type worker struct {
 	tracer *telemetry.Tracer
 }
 
-// run drains the worker's batch queue, applying each record to the shard
+// run drains the worker's ring, applying each record to the shard
 // detector and tagging any race the record completed with its sequence
-// number. It owns det exclusively; the queue's publication ordering (ring
-// cursor release/acquire, or the channel hand-off) is the memory fence
-// between router and worker.
+// number. It owns det exclusively; the ring's cursor release/acquire pair
+// is the memory fence between router and worker.
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		it, ok := w.q.recv()
+		c, ok := w.q.recv()
 		if !ok {
 			return
 		}
-		var trace, span uint64
-		var n int
-		if it.c != nil {
-			trace, span, n = it.c.Trace, it.c.Span, it.c.Len()
-		} else {
-			trace, span, n = it.b.Trace, it.b.Span, len(it.b.Recs)
-		}
+		trace, span, n := c.Trace, c.Span, c.Len()
 		var start time.Time
 		if w.applyNS != nil || (w.tracer != nil && trace != 0) {
 			start = time.Now()
 		}
 		w.events.Add(uint64(n))
-		if it.c != nil {
-			w.applyCols(it.c)
-			event.PutCols(it.c)
-		} else {
-			w.applyRecs(it.b)
-			event.PutBatch(it.b)
-		}
+		w.applyCols(c)
+		event.PutCols(c)
 		if !start.IsZero() {
 			elapsed := time.Since(start)
 			if elapsed < 0 {
@@ -196,19 +180,6 @@ func (w *worker) run(wg *sync.WaitGroup) {
 				})
 			}
 		}
-	}
-}
-
-// applyRecs replays a row-major batch record-at-a-time.
-func (w *worker) applyRecs(b *event.Batch) {
-	for i := range b.Recs {
-		r := &b.Recs[i]
-		if w.provOn {
-			w.det.SetEventSeq(r.Seq)
-		}
-		before := len(w.det.Races())
-		event.ApplyRec(w.det, r)
-		w.tagRaces(before, r.Seq)
 	}
 }
 
@@ -280,15 +251,10 @@ func (w *worker) tagRaces(before int, seq uint64) {
 // workers and obtain the merged Result.
 type Pipeline struct {
 	workers []*worker
-	pending []*event.Batch // per-worker record batch being filled (Sink lane)
-	// pendingCols is the per-worker columnar batch being filled (the
-	// ApplyCols lane). Pushing to one lane ships the other lane's pending
-	// first, so at most one lane has a pending per worker at any time and
-	// stream order survives lane interleaving.
-	pendingCols []*event.Cols
-	policy      *event.BatchPolicy
-	obs         event.BackpressureObserver
-	wg          sync.WaitGroup
+	pending []*event.Cols // per-worker batch being filled
+	policy  *event.BatchPolicy
+	obs     event.BackpressureObserver
+	wg      sync.WaitGroup
 
 	seq       uint64
 	events    uint64
@@ -328,11 +294,10 @@ func New(opts Options) *Pipeline {
 		depth = 8
 	}
 	p := &Pipeline{
-		workers:     make([]*worker, n),
-		pending:     make([]*event.Batch, n),
-		pendingCols: make([]*event.Cols, n),
-		policy:      opts.BatchPolicy,
-		obs:         opts.Backpressure,
+		workers: make([]*worker, n),
+		pending: make([]*event.Cols, n),
+		policy:  opts.BatchPolicy,
+		obs:     opts.Backpressure,
 	}
 	reg := opts.Telemetry
 	var prodParks, consParks *telemetry.Counter
@@ -341,10 +306,6 @@ func New(opts Options) *Pipeline {
 		p.dispatchNS = reg.Histogram("pipeline_dispatch_wait_ns", "Router blocking time per batch ship (back-pressure).")
 		prodParks = reg.Counter("pipeline_ring_parks_total", "Ring park events by side.", telemetry.Labels{"side": "producer"})
 		consParks = reg.Counter("pipeline_ring_parks_total", "Ring park events by side.", telemetry.Labels{"side": "consumer"})
-	}
-	newQueue := func() batchQueue { return newRing(depth, prodParks, consParks) }
-	if opts.Dispatch == "chan" {
-		newQueue = func() batchQueue { return newChanQueue(depth) }
 	}
 	cfg := opts.Detector
 	if cfg.Metrics == nil && reg != nil {
@@ -358,7 +319,7 @@ func New(opts Options) *Pipeline {
 			wcfg.Shards, wcfg.Shard = n, i
 		}
 		w := &worker{
-			q:      newQueue(),
+			q:      newRing(depth, prodParks, consParks),
 			det:    detector.New(wcfg),
 			provOn: wcfg.Provenance,
 			shard:  i,
@@ -420,12 +381,8 @@ func (p *Pipeline) shardImbalance() float64 {
 // ship sends a full or flushed batch to worker w, observing the router's
 // blocking time when instrumented and feeding the adaptive policy the
 // queue occupancy it saw at ship time.
-func (p *Pipeline) ship(w int, it item) {
-	if it.b != nil {
-		it.b.Trace, it.b.Span = p.trace, p.span
-	} else {
-		it.c.Trace, it.c.Span = p.trace, p.span
-	}
+func (p *Pipeline) ship(w int, c *event.Cols) {
+	c.Trace, c.Span = p.trace, p.span
 	q := p.workers[w].q
 	if p.policy != nil {
 		p.policy.ObserveQueue(q.len(), q.capacity())
@@ -434,11 +391,11 @@ func (p *Pipeline) ship(w int, it item) {
 		p.obs.ObserveQueue(q.len(), q.capacity())
 	}
 	if p.dispatchNS == nil {
-		q.send(it)
+		q.send(c)
 		return
 	}
 	start := time.Now()
-	q.send(it)
+	q.send(c)
 	elapsed := time.Since(start)
 	if elapsed < 0 {
 		elapsed = 0
@@ -469,44 +426,12 @@ func (p *Pipeline) Occupancy() float64 { return p.ringOccupancy() }
 
 // push appends a record to worker w's pending batch, shipping the batch
 // when it reaches the flush threshold (the adaptive policy's current
-// target, or full transport capacity when no policy is set).
+// target, or event.DefaultBatchSize when no policy is set).
 func (p *Pipeline) push(w int, r event.Rec) {
-	if c := p.pendingCols[w]; c != nil {
-		// Lane switch: ship the columnar pending first so the worker
-		// observes the stream in routing order.
-		p.ship(w, item{c: c})
-		p.pendingCols[w] = nil
-	}
-	b := p.pending[w]
-	if b == nil {
-		b = event.GetBatch()
-		p.pending[w] = b
-	}
-	b.Append(r)
-	if p.policy == nil {
-		if b.Full() {
-			p.ship(w, item{b: b})
-			p.pending[w] = nil
-		}
-		return
-	}
-	if len(b.Recs) >= p.policy.Target() {
-		p.ship(w, item{b: b})
-		p.pending[w] = nil
-	}
-}
-
-// pushCols appends a record to worker w's pending columnar batch —
-// push's twin for the ApplyCols lane.
-func (p *Pipeline) pushCols(w int, r event.Rec) {
-	if b := p.pending[w]; b != nil {
-		p.ship(w, item{b: b})
-		p.pending[w] = nil
-	}
-	c := p.pendingCols[w]
+	c := p.pending[w]
 	if c == nil {
 		c = event.GetCols()
-		p.pendingCols[w] = c
+		p.pending[w] = c
 	}
 	c.Append(r)
 	threshold := event.DefaultBatchSize
@@ -514,8 +439,8 @@ func (p *Pipeline) pushCols(w int, r event.Rec) {
 		threshold = p.policy.Target()
 	}
 	if c.Len() >= threshold {
-		p.ship(w, item{c: c})
-		p.pendingCols[w] = nil
+		p.ship(w, c)
+		p.pending[w] = nil
 	}
 }
 
@@ -556,56 +481,19 @@ func (p *Pipeline) broadcast(r event.Rec) {
 }
 
 // ApplyCols implements event.BatchSink: it routes a decoded columnar
-// batch straight off its columns — shard selection reads only the addr
-// column, and routed segments accumulate in per-worker columnar pendings
-// — so v2 wire payloads flow from decode to the detection workers without
-// ever materializing per-record event.Rec structs. Routing semantics are
-// identical to the Sink methods: accesses split at shadow-block
-// boundaries to the owning worker, everything else is broadcast in
-// stream order. Must be called from the execution thread; the caller
-// keeps ownership of c.
+// batch straight off its columns with the Sink methods' semantics —
+// accesses split at shadow-block boundaries to the owning worker,
+// everything else broadcast in stream order — so wire payloads flow from
+// decode to the detection workers without a per-record interface call.
+// Must be called from the execution thread; the caller keeps ownership
+// of c.
 func (p *Pipeline) ApplyCols(c *event.Cols) {
-	n := c.Len()
-	nw := uint64(len(p.workers))
-	for i := 0; i < n; i++ {
-		op := c.Ops[i]
-		if op != event.OpRead && op != event.OpWrite {
-			p.broadcastCols(c, i)
-			continue
+	for i, op := range c.Ops {
+		if op == event.OpRead || op == event.OpWrite {
+			p.access(op, c.Tids[i], c.Addrs[i], c.Sizes[i], c.PCs[i])
+		} else {
+			p.broadcast(c.Rec(i))
 		}
-		p.seq++
-		p.events++
-		addr := c.Addrs[i]
-		if event.NonShared(addr) {
-			p.nonshared++
-			continue
-		}
-		p.accesses++
-		tid, pc := c.Tids[i], c.PCs[i]
-		lo, hi := addr, addr+uint64(c.Sizes[i])
-		for lo < hi {
-			end := (lo | (shadow.BlockSize - 1)) + 1
-			if end > hi {
-				end = hi
-			}
-			w := int(lo >> shadow.BlockShift % nw)
-			p.pushCols(w, event.Rec{
-				Op: op, Tid: tid, Addr: lo, Size: uint32(end - lo), PC: pc, Seq: p.seq,
-			})
-			lo = end
-		}
-	}
-}
-
-// broadcastCols re-sequences record i of a columnar batch and pushes it
-// to every worker's columnar pending.
-func (p *Pipeline) broadcastCols(c *event.Cols, i int) {
-	p.seq++
-	p.events++
-	r := c.Rec(i)
-	r.Seq = p.seq
-	for w := range p.workers {
-		p.pushCols(w, r)
 	}
 }
 
@@ -713,19 +601,11 @@ func (p *Pipeline) Wait() Result {
 		return p.result
 	}
 	p.done = true
-	// At most one lane has a pending per worker (push/pushCols cross-ship),
-	// so flushing both here cannot reorder the stream.
-	for w, b := range p.pending {
-		if b != nil && len(b.Recs) > 0 {
-			p.ship(w, item{b: b})
+	for w, c := range p.pending {
+		if c != nil && c.Len() > 0 {
+			p.ship(w, c)
 		}
 		p.pending[w] = nil
-	}
-	for w, c := range p.pendingCols {
-		if c != nil && c.Len() > 0 {
-			p.ship(w, item{c: c})
-		}
-		p.pendingCols[w] = nil
 	}
 	for _, w := range p.workers {
 		w.q.close()

@@ -1,6 +1,6 @@
 // Lock-free SPSC batch rings: the router→worker hand-off of the sharded
 // pipeline. The router (single producer) and each detection worker (single
-// consumer) exchange *event.Batch through a power-of-two ring indexed by
+// consumer) exchange *event.Cols through a power-of-two ring indexed by
 // two monotonically increasing cursors. The common case — ring neither
 // full nor empty — is a slot store plus one atomic cursor store on the
 // producer side and the mirror image on the consumer side: no locks, no
@@ -15,7 +15,7 @@
 //     tail+1; the consumer loads tail before reading buf[head&mask]. The
 //     atomic store/load pair orders the slot write before the slot read
 //     (release/acquire), so batch contents are fully visible to the
-//     worker — the property the old channel provided implicitly.
+//     worker.
 //   - Sleep/wake (Dekker): before blocking, a side stores its parked flag
 //     and then re-loads the opposing cursor; the opposing side stores its
 //     cursor and then loads the flag. Sequential consistency forbids both
@@ -45,45 +45,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// item is one queued hand-off: exactly one of b (row-major record batch)
-// or c (columnar batch) is non-nil. A two-word struct rides the ring as
-// safely as the old single pointer — the cursor release/acquire pair
-// orders both word writes before the consumer's reads.
-type item struct {
-	b *event.Batch
-	c *event.Cols
-}
-
-// batchQueue is the router→worker transport. Exactly one goroutine may
-// call send/close (the producer) and one may call recv (the consumer);
-// len and capacity are safe from anywhere. recv blocks until a batch is
-// available and returns ok=false once the queue is closed and drained.
-type batchQueue interface {
-	send(it item)
-	recv() (item, bool)
-	len() int
-	capacity() int
-	close()
-}
-
-// chanQueue is the channel-based baseline transport, kept selectable
-// (Options.Dispatch="chan") so the dispatch benchmarks compare the ring
-// against the exact pre-ring behavior rather than a reconstruction.
-type chanQueue struct{ ch chan item }
-
-func newChanQueue(depth int) *chanQueue {
-	return &chanQueue{ch: make(chan item, depth)}
-}
-
-func (q *chanQueue) send(it item) { q.ch <- it }
-func (q *chanQueue) recv() (item, bool) {
-	it, ok := <-q.ch
-	return it, ok
-}
-func (q *chanQueue) len() int      { return len(q.ch) }
-func (q *chanQueue) capacity() int { return cap(q.ch) }
-func (q *chanQueue) close()        { close(q.ch) }
-
 // spinBudget is the number of yield-and-recheck rounds a blocked side
 // performs before parking. Bounded so a stalled peer costs a few
 // microseconds of CPU, not a busy core.
@@ -100,7 +61,7 @@ type cachePad [64]byte
 // wrap-around needs no special casing: tail-head is the occupancy even
 // across uint64 overflow.
 type ring struct {
-	buf  []item
+	buf  []*event.Cols
 	mask uint64
 
 	// prodParks/consParks count park events per side (nil-safe no-ops
@@ -128,7 +89,7 @@ func newRing(depth int, prodParks, consParks *telemetry.Counter) *ring {
 		n <<= 1
 	}
 	return &ring{
-		buf:       make([]item, n),
+		buf:       make([]*event.Cols, n),
 		mask:      uint64(n - 1),
 		prodParks: prodParks,
 		consParks: consParks,
@@ -157,14 +118,14 @@ func wake(parked *atomic.Bool, ch chan struct{}) {
 	}
 }
 
-// send enqueues it, spinning then parking while the ring is full. Producer
+// send enqueues c, spinning then parking while the ring is full. Producer
 // goroutine only.
-func (r *ring) send(it item) {
+func (r *ring) send(c *event.Cols) {
 	t := r.tail.Load()
 	spins := 0
 	for {
 		if t-r.head.Load() < uint64(len(r.buf)) {
-			r.buf[t&r.mask] = it
+			r.buf[t&r.mask] = c
 			r.tail.Store(t + 1) // publishes the slot write (release)
 			wake(&r.consParked, r.consWake)
 			return
@@ -193,16 +154,16 @@ func (r *ring) send(it item) {
 // recv dequeues the next batch, spinning then parking while the ring is
 // empty; it returns ok=false once the ring is closed and drained.
 // Consumer goroutine only.
-func (r *ring) recv() (item, bool) {
+func (r *ring) recv() (*event.Cols, bool) {
 	h := r.head.Load()
 	spins := 0
 	for {
 		if r.tail.Load() > h { // acquire: slot write visible below
-			it := r.buf[h&r.mask]
-			r.buf[h&r.mask] = item{} // drop the references; the pool owns them next
+			c := r.buf[h&r.mask]
+			r.buf[h&r.mask] = nil // drop the reference; the pool owns it next
 			r.head.Store(h + 1)
 			wake(&r.prodParked, r.prodWake)
-			return it, true
+			return c, true
 		}
 		if r.closed.Load() {
 			// closed is stored after the producer's final tail store, so
@@ -210,7 +171,7 @@ func (r *ring) recv() (item, bool) {
 			if r.tail.Load() > h {
 				continue
 			}
-			return item{}, false
+			return nil, false
 		}
 		if spins < spinBudget {
 			spins++

@@ -9,12 +9,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// marker builds a one-record batch item tagged with seq, so transfer
-// order and identity are checkable on the consumer side.
-func marker(seq uint64) item {
-	b := event.GetBatch()
-	b.Append(event.Rec{Op: event.OpRead, Seq: seq})
-	return item{b: b}
+// marker builds a one-record batch tagged with seq, so transfer order
+// and identity are checkable on the consumer side.
+func marker(seq uint64) *event.Cols {
+	c := event.GetCols()
+	c.Append(event.Rec{Op: event.OpRead, Seq: seq})
+	return c
 }
 
 // TestRingWrapAround pushes far more batches than the ring holds through a
@@ -37,15 +37,15 @@ func TestRingWrapAround(t *testing.T) {
 	}()
 	var got uint64
 	for {
-		it, ok := r.recv()
+		c, ok := r.recv()
 		if !ok {
 			break
 		}
 		got++
-		if want := got; it.b.Recs[0].Seq != want {
-			t.Fatalf("batch %d carried seq %d (reordered or duplicated)", want, it.b.Recs[0].Seq)
+		if want := got; c.Seqs[0] != want {
+			t.Fatalf("batch %d carried seq %d (reordered or duplicated)", want, c.Seqs[0])
 		}
-		event.PutBatch(it.b)
+		event.PutCols(c)
 	}
 	wg.Wait()
 	if got != n {
@@ -78,11 +78,11 @@ func TestRingProducerPark(t *testing.T) {
 		defer wg.Done()
 		time.Sleep(50 * time.Millisecond) // let the producer fill and park
 		for {
-			it, ok := r.recv()
+			c, ok := r.recv()
 			if !ok {
 				return
 			}
-			event.PutBatch(it.b)
+			event.PutCols(c)
 			time.Sleep(time.Millisecond) // keep the ring full a few rounds
 		}
 	}()
@@ -114,12 +114,12 @@ func TestRingConsumerPark(t *testing.T) {
 	}()
 	var got int
 	for {
-		it, ok := r.recv()
+		c, ok := r.recv()
 		if !ok {
 			break
 		}
 		got++
-		event.PutBatch(it.b)
+		event.PutCols(c)
 	}
 	wg.Wait()
 	if got != 4 {
@@ -140,14 +140,14 @@ func TestRingCloseWhileFull(t *testing.T) {
 	}
 	r.close()
 	for i := uint64(1); i <= 4; i++ {
-		it, ok := r.recv()
+		c, ok := r.recv()
 		if !ok {
 			t.Fatalf("close hid batch %d", i)
 		}
-		if it.b.Recs[0].Seq != i {
-			t.Fatalf("batch %d carried seq %d", i, it.b.Recs[0].Seq)
+		if c.Seqs[0] != i {
+			t.Fatalf("batch %d carried seq %d", i, c.Seqs[0])
 		}
-		event.PutBatch(it.b)
+		event.PutCols(c)
 	}
 	if _, ok := r.recv(); ok {
 		t.Fatal("drained closed ring still produced a batch")
@@ -187,12 +187,12 @@ func TestRingStress(t *testing.T) {
 	go func() {
 		var got, last uint64
 		for {
-			it, ok := r.recv()
+			c, ok := r.recv()
 			if !ok {
 				done <- got
 				return
 			}
-			if s := it.b.Recs[0].Seq; s != last+1 {
+			if s := c.Seqs[0]; s != last+1 {
 				t.Errorf("seq %d after %d", s, last)
 				done <- got
 				return
@@ -200,7 +200,7 @@ func TestRingStress(t *testing.T) {
 				last = s
 			}
 			got++
-			event.PutBatch(it.b)
+			event.PutCols(c)
 			if got%97 == 0 {
 				time.Sleep(time.Microsecond) // periodic consumer stall
 			}
@@ -228,37 +228,14 @@ func TestRingStress(t *testing.T) {
 // the hand-off is a slot store and two atomic cursor updates.
 func TestRingZeroAlloc(t *testing.T) {
 	r := newRing(8, nil, nil)
-	b := event.GetBatch()
-	defer event.PutBatch(b)
-	it := item{b: b}
+	c := event.GetCols()
+	defer event.PutCols(c)
 	if got := testing.AllocsPerRun(1000, func() {
-		r.send(it)
+		r.send(c)
 		if _, ok := r.recv(); !ok {
 			t.Fatal("recv failed")
 		}
 	}); got != 0 {
 		t.Errorf("ring send+recv: %v allocs/run, want 0", got)
-	}
-}
-
-// TestChanQueueBaseline keeps the benchmark-baseline transport honest:
-// same contract, channel semantics.
-func TestChanQueueBaseline(t *testing.T) {
-	q := newChanQueue(2)
-	if q.capacity() != 2 {
-		t.Fatalf("capacity = %d, want 2", q.capacity())
-	}
-	q.send(marker(1))
-	if q.len() != 1 {
-		t.Fatalf("len = %d, want 1", q.len())
-	}
-	q.close()
-	it, ok := q.recv()
-	if !ok || it.b.Recs[0].Seq != 1 {
-		t.Fatal("chan queue lost the queued batch across close")
-	}
-	event.PutBatch(it.b)
-	if _, ok := q.recv(); ok {
-		t.Fatal("drained closed chan queue still produced a batch")
 	}
 }

@@ -24,26 +24,40 @@ func TestShedNeverDropsSync(t *testing.T) {
 	// it on (0 < -1 is false), isolating the compaction logic.
 	srv := &Server{opts: Options{ShedHighWater: -2, ShedLowWater: -1, ShedHotSite: 2}}
 	sess := shedSession(t)
-	b := &event.Batch{}
+	c := &event.Cols{}
+	var want []event.Rec // the survivors, in stream order
 	syncOps := []event.Op{
 		event.OpAcquire, event.OpRelease, event.OpFork, event.OpJoin,
 		event.OpBarrierArrive, event.OpMalloc, event.OpFree,
 		event.OpChanSend, event.OpChanRecv, event.OpWGAdd, event.OpWGWait,
 	}
 	for i := 0; i < 10; i++ {
-		b.Recs = append(b.Recs, event.Rec{Op: event.OpWrite, PC: 7, Addr: uint64(i)})
-		b.Recs = append(b.Recs, event.Rec{Op: syncOps[i%len(syncOps)], Aux: 1})
+		acc := event.Rec{Op: event.OpWrite, Tid: 1, PC: 7, Addr: uint64(i), Size: 4, Seq: uint64(2*i + 1)}
+		sync := event.Rec{Op: syncOps[i%len(syncOps)], Tid: 2, Aux: uint64(i), Seq: uint64(2*i + 2)}
+		c.Append(acc)
+		c.Append(sync)
+		if i < 2 {
+			want = append(want, acc)
+		}
+		want = append(want, sync)
 	}
-	shed := srv.shedRecords(sess, b)
+	shed := srv.shedRecords(sess, c)
 	if shed != 8 {
 		t.Fatalf("shed %d records, want 8 (site 7 keeps its first 2 accesses)", shed)
 	}
 	syncKept, accKept := 0, 0
-	for _, r := range b.Recs {
-		if r.Op == event.OpRead || r.Op == event.OpWrite {
+	for _, op := range c.Ops {
+		if op == event.OpRead || op == event.OpWrite {
 			accKept++
 		} else {
 			syncKept++
+		}
+	}
+	if c.Len() == len(want) {
+		for i := range want {
+			if got := c.Rec(i); got != want[i] {
+				t.Errorf("survivor %d = %+v, want %+v (compaction must keep every column in stream order)", i, got, want[i])
+			}
 		}
 	}
 	if syncKept != 10 {
@@ -62,15 +76,15 @@ func TestShedNeverDropsSync(t *testing.T) {
 func TestShedIdleQueuesDropNothing(t *testing.T) {
 	srv := &Server{opts: Options{ShedHighWater: 0.5, ShedLowWater: 0.25, ShedHotSite: 1}}
 	sess := shedSession(t)
-	b := &event.Batch{}
+	c := &event.Cols{}
 	for i := 0; i < 100; i++ {
-		b.Recs = append(b.Recs, event.Rec{Op: event.OpWrite, PC: 3, Addr: 0x100})
+		c.Append(event.Rec{Op: event.OpWrite, PC: 3, Addr: 0x100})
 	}
-	if shed := srv.shedRecords(sess, b); shed != 0 {
+	if shed := srv.shedRecords(sess, c); shed != 0 {
 		t.Fatalf("idle pipeline shed %d records", shed)
 	}
-	if len(b.Recs) != 100 {
-		t.Fatalf("batch compacted while not shedding: %d/100", len(b.Recs))
+	if c.Len() != 100 {
+		t.Fatalf("batch compacted while not shedding: %d/100", c.Len())
 	}
 	if sess.shedding {
 		t.Fatal("latch set with occupancy 0 below the high watermark")
@@ -82,11 +96,11 @@ func TestShedIdleQueuesDropNothing(t *testing.T) {
 func TestShedLatchReleases(t *testing.T) {
 	srv := &Server{opts: Options{ShedHighWater: -1, ShedLowWater: 0.5, ShedHotSite: 1}}
 	sess := shedSession(t)
-	b := &event.Batch{}
+	c := &event.Cols{}
 	for i := 0; i < 10; i++ {
-		b.Recs = append(b.Recs, event.Rec{Op: event.OpWrite, PC: 9, Addr: 0x40})
+		c.Append(event.Rec{Op: event.OpWrite, PC: 9, Addr: 0x40})
 	}
-	if shed := srv.shedRecords(sess, b); shed != 9 {
+	if shed := srv.shedRecords(sess, c); shed != 9 {
 		t.Fatalf("latched shedder dropped %d, want 9", shed)
 	}
 	if !sess.shedding {
@@ -95,11 +109,11 @@ func TestShedLatchReleases(t *testing.T) {
 	// Raise the high watermark out of reach: occupancy 0 is now below the
 	// low watermark, so the next batch unlatches and keeps everything.
 	srv.opts.ShedHighWater = 2
-	b2 := &event.Batch{}
+	c2 := &event.Cols{}
 	for i := 0; i < 10; i++ {
-		b2.Recs = append(b2.Recs, event.Rec{Op: event.OpWrite, PC: 9, Addr: 0x40})
+		c2.Append(event.Rec{Op: event.OpWrite, PC: 9, Addr: 0x40})
 	}
-	if shed := srv.shedRecords(sess, b2); shed != 0 {
+	if shed := srv.shedRecords(sess, c2); shed != 0 {
 		t.Fatalf("unlatched shedder dropped %d", shed)
 	}
 	if sess.shedding {

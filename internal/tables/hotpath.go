@@ -42,7 +42,7 @@ type HotpathRow struct {
 	// NsPerEvent is detector apply wall time over the ORIGINAL event
 	// count, so elide-on rows get credit for the work they skip.
 	NsPerEvent float64 `json:"ns_per_event"`
-	// WireBytes is the columnar (codec v2) payload size of the stream the
+	// WireBytes is the columnar payload size of the stream the
 	// detector saw, batched at the transport batch size — what a remote
 	// session would put on the wire.
 	WireBytes     uint64  `json:"wire_bytes"`
@@ -81,7 +81,7 @@ func elideStream(recs []event.Rec) ([]event.Rec, uint64) {
 }
 
 // wireBytes measures the columnar payload size of the stream at the
-// transport batch size (frame headers excluded — they are codec-invariant).
+// transport batch size (frame headers excluded — their size is fixed).
 func wireBytes(recs []event.Rec) uint64 {
 	var total uint64
 	var buf []byte

@@ -9,8 +9,8 @@
 //
 // IDs are 64-bit and minted with a splitmix64 sequence seeded from the
 // process start time: unique within a fleet for any realistic run length,
-// with zero reserved as "no ID" (absent-means-untraced, the same interop
-// convention the wire codec negotiation uses).
+// with zero reserved as "no ID" (absent-means-untraced, the same rule the
+// wire handshake's optional grants use).
 package telemetry
 
 import (

@@ -1,21 +1,21 @@
-// Columnar decode into a structure-of-arrays batch (event.Cols): the v2
+// Columnar decode into a structure-of-arrays batch (event.Cols): the
 // payload is already column-major on the wire, so decoding into columns
 // is a straight transpose-free pass — each column section streams into
 // one contiguous slice instead of striding across 64-byte Rec structs.
-// This is the ingest half of the columnar hot path: the server hands the
-// decoded Cols to pipeline.ApplyCols, which routes over the addr column
+// This is the server's ingest decoder: it hands every decoded Batch
+// payload to pipeline.ApplyCols, which routes over the addr column
 // and ships column segments to the detection workers.
 package wire
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/event"
-	"repro/internal/vc"
 )
 
-// DecodeColumnarColsInto decodes a columnar (codec v2) payload into c,
+// DecodeColumnarColsInto decodes a columnar payload into c,
 // appending to its columns. The payload must parse exactly — the same
 // contract as DecodeColumnarInto — and on any error c is rewound to its
 // length at entry.
@@ -79,7 +79,10 @@ func DecodeColumnarColsInto(payload []byte, c *event.Cols) error {
 		if err != nil {
 			return fail(err)
 		}
-		tid := vc.TID(unzigzag(tv))
+		tid, err := decodeTID(tv)
+		if err != nil {
+			return fail(err)
+		}
 		run, err := r.uvarint()
 		if err != nil {
 			return fail(err)
@@ -138,6 +141,9 @@ func DecodeColumnarColsInto(payload []byte, c *event.Cols) error {
 			return fail(err)
 		}
 		prev += uint64(unzigzag(d))
+		if prev > math.MaxInt32 && carriesChild(ops[i]) {
+			return fail(fmt.Errorf("%w: child tid %d does not fit a thread id", errColumnar, prev))
+		}
 		auxs[i] = prev
 	}
 	// seqs: zigzag delta.

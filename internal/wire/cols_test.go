@@ -17,9 +17,10 @@ func TestColsDecodeMatchesRecordDecode(t *testing.T) {
 		"single": {{Op: event.OpWrite, Tid: 3, Addr: 0xdeadbeef, Size: 4, PC: 17, Seq: 1}},
 		"stream": streamRecs(2048),
 		"extremes": {
-			{Op: event.OpMalloc, Tid: -1, Addr: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint64},
+			{Op: event.OpMalloc, Tid: 0, Addr: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint64},
 			{Op: event.OpFree, Tid: math.MaxInt32, Addr: 0, Aux: 0, Seq: 0},
-			{Op: event.OpRead, Tid: math.MinInt32, Addr: 1, Size: math.MaxUint32, PC: math.MaxUint32, Seq: 9},
+			{Op: event.OpFork, Tid: 1, Aux: math.MaxInt32, Seq: 1},
+			{Op: event.OpRead, Tid: 0, Addr: 1, Size: math.MaxUint32, PC: math.MaxUint32, Seq: 9},
 		},
 	}
 	for name, recs := range cases {
@@ -101,6 +102,11 @@ func TestColsDecodeRejectsMalformedAndRewinds(t *testing.T) {
 	t.Run("run-overflow", func(t *testing.T) {
 		check(t, []byte{1, byte(event.OpRead), 2})
 	})
+	t.Run("bad-tid", func(t *testing.T) {
+		for _, bad := range badTIDPayloads() {
+			check(t, bad)
+		}
+	})
 	t.Run("size-overflow", func(t *testing.T) {
 		r := []event.Rec{{Op: event.OpRead, Tid: 1, Addr: 8, Size: 4, Seq: 1}}
 		good := AppendColumnar(nil, r)
@@ -123,62 +129,41 @@ func TestColsDecodeRejectsMalformedAndRewinds(t *testing.T) {
 }
 
 // TestDecodeErrorPathsReturnPooledBatches is the pool-leak regression:
-// the pooled decode entry points (DecodeBatch, DecodeBatchCodec,
-// DecodeColumnarCols) take a batch from the pool on every call and must
-// return it on every error exit. An injected stream of truncated and
-// corrupt payloads must leave gets == puts — a leak here slowly bleeds
-// the server's batch pool under a misbehaving client.
+// the pooled decode entry point (DecodeColumnarCols) takes a batch from
+// the pool on every call and must return it on every error exit. An
+// injected stream of truncated and corrupt payloads must leave gets ==
+// puts — a leak here slowly bleeds the server's batch pool under a
+// misbehaving client.
 func TestDecodeErrorPathsReturnPooledBatches(t *testing.T) {
 	recs := streamRecs(64)
 	columnar := AppendColumnar(nil, recs)
-	packed := make([]byte, RecSize*len(recs))
-	for i := range recs {
-		PutRec(packed[i*RecSize:], &recs[i])
-	}
-	badOp := append([]byte{}, packed...)
-	badOp[0] = byte(MaxOp) + 1 // first field of the first packed record
+	badOp := append([]byte{}, columnar...)
+	badOp[1] = byte(MaxOp) + 1 // the op byte after the one-byte count
 
-	bg0, bp0, cg0, cp0 := event.PoolCounts()
+	_, _, cg0, cp0 := event.PoolCounts()
 	for cut := 0; cut < len(columnar); cut += 7 {
 		if _, err := DecodeColumnarCols(columnar[:cut]); err == nil {
 			t.Fatalf("truncated columnar payload (%d bytes) accepted", cut)
 		}
-		if _, err := DecodeBatchCodec(columnar[:cut], CodecColumnar); err == nil {
-			t.Fatalf("truncated columnar payload (%d bytes) accepted by DecodeBatchCodec", cut)
+	}
+	for _, bad := range append(badTIDPayloads(), badOp) {
+		if _, err := DecodeColumnarCols(bad); err == nil {
+			t.Fatalf("corrupt payload accepted: % x", bad)
 		}
 	}
-	if _, err := DecodeBatch(packed[:len(packed)-1]); err == nil {
-		t.Fatal("ragged packed payload accepted")
-	}
-	if _, err := DecodeBatch(badOp); err == nil {
-		t.Fatal("packed payload with unknown op accepted")
-	}
-	if _, err := DecodeBatchCodec(badOp, CodecPacked); err == nil {
-		t.Fatal("packed payload with unknown op accepted by DecodeBatchCodec")
-	}
-	bg1, bp1, cg1, cp1 := event.PoolCounts()
-	if bg1-bg0 != bp1-bp0 {
-		t.Errorf("batch pool leak: %d gets vs %d puts across error paths", bg1-bg0, bp1-bp0)
-	}
+	_, _, cg1, cp1 := event.PoolCounts()
 	if cg1-cg0 != cp1-cp0 {
 		t.Errorf("cols pool leak: %d gets vs %d puts across error paths", cg1-cg0, cp1-cp0)
 	}
 
-	// Successful decodes balance too once the caller returns the batch.
-	b, err := DecodeBatchCodec(columnar, CodecColumnar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	event.PutBatch(b)
+	// A successful decode balances too once the caller returns the batch.
 	c, err := DecodeColumnarCols(columnar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	event.PutCols(c)
-	bg2, bp2, cg2, cp2 := event.PoolCounts()
-	if bg2-bg0 != bp2-bp0 || cg2-cg0 != cp2-cp0 {
-		t.Errorf("pool imbalance after successful decodes: batch %d/%d cols %d/%d",
-			bg2-bg0, bp2-bp0, cg2-cg0, cp2-cp0)
+	if _, _, cg2, cp2 := event.PoolCounts(); cg2-cg0 != cp2-cp0 {
+		t.Errorf("cols pool imbalance after a successful decode: %d gets vs %d puts", cg2-cg0, cp2-cp0)
 	}
 }
 

@@ -1,10 +1,11 @@
-// Columnar codec (wire codec 2): a delta-varint, column-transposed
-// encoding of event batches that exploits the same locality the paper's
-// dynamic granularity exploits for clock sharing. Consecutive events of a
-// real execution overwhelmingly share their thread (the scheduler runs one
-// thread for a whole quantum), repeat a small set of code sites, and walk
-// addresses in small strides — so transposing a batch into per-field
-// columns turns most fields into runs and tiny deltas:
+// Columnar codec: the protocol's batch encoding, a delta-varint,
+// column-transposed encoding of event batches that exploits the same
+// locality the paper's dynamic granularity exploits for clock sharing.
+// Consecutive events of a real execution overwhelmingly share their
+// thread (the scheduler runs one thread for a whole quantum), repeat a
+// small set of code sites, and walk addresses in small strides — so
+// transposing a batch into per-field columns turns most fields into runs
+// and tiny deltas:
 //
 //	column  encoding
 //	ops     run length: (op byte, varint run)*        — quantum-long runs
@@ -17,68 +18,28 @@
 //
 // The payload opens with a varint record count; columns follow in the
 // order above and must consume the payload exactly. A typical access
-// record costs 4–6 bytes against the packed codec's fixed 37 (ops and
-// tids amortize to fractions of a byte, the addr delta is 1–2 bytes, and
-// constant sizes / repeated PCs / zero aux / +1 seq are one byte each).
-//
-// Codec choice is a property of the session, not the frame: Hello/HelloAck
-// negotiate it once (see Hello.Codec) and every Batch frame of the session
-// uses the granted codec. Keeping the frame header codec-free means a
-// corrupted header byte can never switch the decoder onto the wrong
-// format — the CRC already guards the payload, and the session state
-// guards its interpretation.
+// record costs 4–6 bytes against the nominal packed record's fixed 37
+// (RecSize): ops and tids amortize to fractions of a byte, the addr delta
+// is 1–2 bytes, and constant sizes / repeated PCs / zero aux / +1 seq are
+// one byte each.
 //
 // Deltas are computed in uint64 with wraparound, so every field value is
-// representable and encode∘decode is the identity for arbitrary records,
-// not just well-formed streams (FuzzWireRoundTrip pins this).
+// representable and encode∘decode is the identity for arbitrary records
+// with valid thread ids (FuzzWireRoundTrip pins this). The decoders
+// refuse a thread id — a tid run, or the child tid a fork or join carries
+// in Aux — that is negative or does not fit vc.TID: the detector indexes
+// per-thread state by tid, so a hostile id must fail the session's
+// decode, never reach a detection shard.
 package wire
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/event"
 	"repro/internal/vc"
 )
-
-// Codec identifiers negotiated in Hello/HelloAck. CodecPacked is the
-// protocol's original fixed 37-byte record array; CodecColumnar is the
-// delta-varint columnar format. Peers that predate negotiation send no
-// codec field, which NegotiateCodec maps to CodecPacked — old client ×
-// new server and new client × old server both fall back transparently.
-const (
-	CodecPacked   = 1
-	CodecColumnar = 2
-
-	// CodecMax is the highest codec this build speaks.
-	CodecMax = CodecColumnar
-)
-
-// CodecName returns the stable label used in metrics and flags ("v1",
-// "v2").
-func CodecName(codec int) string {
-	switch codec {
-	case CodecPacked:
-		return "v1"
-	case CodecColumnar:
-		return "v2"
-	default:
-		return fmt.Sprintf("codec(%d)", codec)
-	}
-}
-
-// NegotiateCodec maps a peer's requested codec ceiling onto the codec this
-// build grants: the minimum of the two ceilings, with 0 (a peer that never
-// heard of codecs) meaning the original packed format.
-func NegotiateCodec(requested int) int {
-	if requested <= 0 {
-		return CodecPacked
-	}
-	if requested > CodecMax {
-		return CodecMax
-	}
-	return requested
-}
 
 // errColumnar is the base decode error; call sites wrap it with position
 // detail (the error path is cold, the happy path allocates nothing).
@@ -90,6 +51,20 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// decodeTID maps one zigzag tid-column value onto a thread id, refusing
+// values that are negative or do not fit vc.TID. Both decoders call it
+// once per tid run.
+func decodeTID(v uint64) (vc.TID, error) {
+	tid := unzigzag(v)
+	if tid < 0 || tid > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: thread id %d out of range", errColumnar, tid)
+	}
+	return vc.TID(tid), nil
+}
+
+// carriesChild reports whether op carries a child thread id in Aux.
+func carriesChild(op event.Op) bool { return op == event.OpFork || op == event.OpJoin }
 
 // appendUvarint appends v in LEB128. The single-byte case — the vast
 // majority of column values — is branched first.
@@ -266,7 +241,10 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 		if err != nil {
 			return fail(err)
 		}
-		tid := vc.TID(unzigzag(tv))
+		tid, err := decodeTID(tv)
+		if err != nil {
+			return fail(err)
+		}
 		run, err := r.uvarint()
 		if err != nil {
 			return fail(err)
@@ -321,6 +299,9 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 			return fail(err)
 		}
 		prev += uint64(unzigzag(d))
+		if prev > math.MaxInt32 && carriesChild(recs[i].Op) {
+			return fail(fmt.Errorf("%w: child tid %d does not fit a thread id", errColumnar, prev))
+		}
 		recs[i].Aux = prev
 	}
 	// seqs: zigzag delta.
@@ -338,38 +319,4 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 	}
 	b.Recs = b.Recs[:base+n]
 	return nil
-}
-
-// AppendBatchFrameCodec encodes b's records as a Batch frame in the given
-// session codec. CodecPacked reproduces AppendBatchFrame byte for byte.
-func AppendBatchFrameCodec(dst []byte, h Header, b *event.Batch, codec int) []byte {
-	if codec != CodecColumnar {
-		return AppendBatchFrame(dst, h, b)
-	}
-	h.Type = TypeBatch
-	off := len(dst)
-	dst = append(dst, make([]byte, HeaderSize)...)
-	dst = AppendColumnar(dst, b.Recs)
-	payload := dst[off+HeaderSize:]
-	putHeader(dst[off:], h, uint32(len(payload)), checksum(payload))
-	return dst
-}
-
-// DecodeBatchCodecInto decodes a Batch payload in the session's codec.
-func DecodeBatchCodecInto(payload []byte, b *event.Batch, codec int) error {
-	if codec == CodecColumnar {
-		return DecodeColumnarInto(payload, b)
-	}
-	return DecodeBatchInto(payload, b)
-}
-
-// DecodeBatchCodec decodes a Batch payload in the session's codec into a
-// pooled batch; the caller returns it with event.PutBatch.
-func DecodeBatchCodec(payload []byte, codec int) (*event.Batch, error) {
-	b := event.GetBatch()
-	if err := DecodeBatchCodecInto(payload, b, codec); err != nil {
-		event.PutBatch(b)
-		return nil, err
-	}
-	return b, nil
 }

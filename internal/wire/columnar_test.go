@@ -38,9 +38,10 @@ func TestColumnarRoundTrip(t *testing.T) {
 		"single": {{Op: event.OpWrite, Tid: 3, Addr: 0xdeadbeef, Size: 4, PC: 17, Seq: 1}},
 		"stream": streamRecs(2048),
 		"extremes": {
-			{Op: event.OpMalloc, Tid: -1, Addr: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint64},
+			{Op: event.OpMalloc, Tid: 0, Addr: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint64},
 			{Op: event.OpFree, Tid: math.MaxInt32, Addr: 0, Aux: 0, Seq: 0},
-			{Op: event.OpRead, Tid: math.MinInt32, Addr: 1, Size: math.MaxUint32, PC: math.MaxUint32, Seq: 9},
+			{Op: event.OpFork, Tid: 1, Aux: math.MaxInt32, Seq: 1},
+			{Op: event.OpRead, Tid: 0, Addr: 1, Size: math.MaxUint32, PC: math.MaxUint32, Seq: 9},
 		},
 	}
 	for name, recs := range cases {
@@ -62,7 +63,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 func TestColumnarFrameRoundTrip(t *testing.T) {
 	b := &event.Batch{Recs: streamRecs(500)}
-	frame := AppendBatchFrameCodec(nil, Header{Session: 42, Seq: 9}, b, CodecColumnar)
+	frame := AppendBatchFrame(nil, Header{Session: 42, Seq: 9}, b)
 	h, payload, err := NewReader(bytes.NewReader(frame), 0).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
@@ -70,52 +71,12 @@ func TestColumnarFrameRoundTrip(t *testing.T) {
 	if h.Type != TypeBatch || h.Session != 42 || h.Seq != 9 {
 		t.Fatalf("header mangled: %+v", h)
 	}
-	got, err := DecodeBatchCodec(payload, CodecColumnar)
-	if err != nil {
+	var got event.Batch
+	if err := DecodeColumnarInto(payload, &got); err != nil {
 		t.Fatal(err)
 	}
-	defer event.PutBatch(got)
 	if !reflect.DeepEqual(got.Recs, b.Recs) {
 		t.Fatal("frame round trip mismatch")
-	}
-}
-
-// TestPackedCodecUnchanged pins that CodecPacked through the codec-aware
-// entry points is byte-identical to the original v1 framing — the
-// compatibility contract a forced-v1 session depends on.
-func TestPackedCodecUnchanged(t *testing.T) {
-	b := &event.Batch{Recs: streamRecs(100)}
-	h := Header{Session: 7, Seq: 3}
-	v1 := AppendBatchFrame(nil, h, b)
-	viaCodec := AppendBatchFrameCodec(nil, h, b, CodecPacked)
-	if !bytes.Equal(v1, viaCodec) {
-		t.Fatal("AppendBatchFrameCodec(CodecPacked) is not byte-identical to AppendBatchFrame")
-	}
-	got, err := DecodeBatchCodec(v1[HeaderSize:], CodecPacked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer event.PutBatch(got)
-	if !reflect.DeepEqual(got.Recs, b.Recs) {
-		t.Fatal("packed decode mismatch")
-	}
-}
-
-func TestNegotiateCodec(t *testing.T) {
-	cases := []struct{ req, want int }{
-		{0, CodecPacked},   // pre-codec peer
-		{-3, CodecPacked},  // nonsense
-		{1, CodecPacked},   // forced v1
-		{2, CodecColumnar}, // current
-		{99, CodecMax},     // future peer: capped at what this build speaks
-	}
-	for _, c := range cases {
-		if got := NegotiateCodec(c.req); got != c.want {
-			t.Errorf("NegotiateCodec(%d) = %d, want %d", c.req, got, c.want)
-		}
-	}
-	if CodecName(CodecPacked) != "v1" || CodecName(CodecColumnar) != "v2" {
-		t.Error("codec names drifted from the v1/v2 labels metrics and flags use")
 	}
 }
 
@@ -168,6 +129,43 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 			t.Fatal("op run past record count accepted")
 		}
 	})
+	t.Run("bad-tid", func(t *testing.T) {
+		for _, bad := range badTIDPayloads() {
+			var b event.Batch
+			if err := DecodeColumnarInto(bad, &b); err == nil {
+				t.Fatalf("out-of-range thread id accepted: % x", bad)
+			}
+			if len(b.Recs) != 0 {
+				t.Fatalf("failed decode left %d partial records", len(b.Recs))
+			}
+		}
+	})
+}
+
+// badTIDPayloads returns well-formed payloads that name a thread id
+// vc.TID cannot hold: negative and past MaxInt32 in the tid column, and
+// the same two as the child tid a fork or join carries in Aux.
+func badTIDPayloads() [][]byte {
+	var out [][]byte
+	for _, tid := range []int64{-5, math.MinInt32, math.MaxInt32 + 1} {
+		p := appendUvarint(nil, 1)
+		p = append(p, byte(event.OpRead))
+		p = appendUvarint(p, 1)           // op run
+		p = appendUvarint(p, zigzag(tid)) // tid
+		p = appendUvarint(p, 1)           // tid run
+		p = appendUvarint(p, zigzag(8))   // addr delta
+		p = appendUvarint(p, 4)           // size
+		p = appendUvarint(p, zigzag(0))   // pc delta
+		p = appendUvarint(p, zigzag(0))   // aux delta
+		p = appendUvarint(p, zigzag(1))   // seq delta
+		out = append(out, p)
+	}
+	for _, op := range []event.Op{event.OpFork, event.OpJoin} {
+		for _, child := range []uint64{math.MaxInt32 + 1, math.MaxUint64 - 4} {
+			out = append(out, AppendColumnar(nil, []event.Rec{{Op: op, Tid: 0, Aux: child, Seq: 1}}))
+		}
+	}
+	return out
 }
 
 // TestColumnarZeroAlloc pins the codec's steady-state allocation budget:
@@ -176,13 +174,13 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 func TestColumnarZeroAlloc(t *testing.T) {
 	recs := streamRecs(event.DefaultBatchSize)
 	src := &event.Batch{Recs: recs}
-	buf := AppendBatchFrameCodec(nil, Header{Session: 1}, src, CodecColumnar)
+	buf := AppendBatchFrame(nil, Header{Session: 1}, src)
 	payload := append([]byte(nil), buf[HeaderSize:]...)
 	dst := event.GetBatch()
 	defer event.PutBatch(dst)
 
 	if got := testing.AllocsPerRun(50, func() {
-		buf = AppendBatchFrameCodec(buf[:0], Header{Session: 1}, src, CodecColumnar)
+		buf = AppendBatchFrame(buf[:0], Header{Session: 1}, src)
 	}); got != 0 {
 		t.Errorf("columnar encode: %v allocs/run, want 0", got)
 	}
@@ -198,8 +196,8 @@ func TestColumnarZeroAlloc(t *testing.T) {
 
 // MaxColumnarBytesPerRecord is the committed regression threshold for the
 // columnar codec on a locality-typical stream (CI fails if the encoding
-// regresses above it). The packed codec costs a fixed 37 bytes per
-// record; the columnar codec's budget is ≤ 7 — comfortably past the ≥4×
+// regresses above it). A packed record costs a fixed 37 bytes (RecSize);
+// the columnar codec's budget is ≤ 7 — comfortably past the ≥4×
 // reduction this transport promises, with headroom over the ~4.5 B/record
 // the current encoder achieves so byte-level tweaks don't flake the gate.
 const MaxColumnarBytesPerRecord = 7.0

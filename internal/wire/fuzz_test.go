@@ -36,36 +36,36 @@ func recsFromBytes(data []byte) []event.Rec {
 // FuzzWireRoundTrip asserts three properties over arbitrary input:
 //
 //  1. Round trip: a batch derived from the input encodes to a frame that
-//     decodes back to exactly the same records, and truncating or
-//     corrupting any byte of the frame is rejected (never mis-decoded).
-//  2. Columnar round trip: the same batch through the delta-varint
-//     columnar codec (codec v2) is also the identity, including for the
+//     decodes back to exactly the same records, including for the
 //     arbitrary field extremes the input derives — the wraparound delta
-//     arithmetic must hold for any record, not just realistic streams.
+//     arithmetic must hold for any record, not just realistic streams —
+//     and truncating or corrupting any byte of the frame is rejected
+//     (never mis-decoded).
+//  2. Differential: the record-major decoder (DecodeColumnarInto, the
+//     reference) and the Cols decoder the server ingests with agree on
+//     arbitrary payload bytes, and the two encoders are byte-identical.
 //  3. Robustness: feeding the raw input directly to the frame reader and
-//     both batch decoders never panics and never over-allocates past the
-//     frame limit, whatever the bytes say.
+//     both decoders never panics and never over-allocates past the frame
+//     limit, whatever the bytes say.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
-	seed := AppendBatchFrame(nil, Header{Session: 1, Seq: 1},
-		&event.Batch{Recs: []event.Rec{{Op: event.OpWrite, Addr: 0x1000, Size: 4, Seq: 1}}})
-	f.Add(seed)
-	f.Add(AppendBatchFrameCodec(nil, Header{Session: 2, Seq: 2},
-		&event.Batch{Recs: []event.Rec{{Op: event.OpRead, Addr: 0x2000, Size: 8, Seq: 1}}},
-		CodecColumnar))
-	// Go-native sync ops in both codecs, so the corpus reaches the top of
-	// the op range from the start.
+	f.Add(AppendBatchFrame(nil, Header{Session: 1, Seq: 1},
+		&event.Batch{Recs: []event.Rec{{Op: event.OpWrite, Addr: 0x1000, Size: 4, Seq: 1}}}))
+	f.Add(AppendBatchFrame(nil, Header{Session: 2, Seq: 2},
+		&event.Batch{Recs: []event.Rec{{Op: event.OpRead, Addr: 0x2000, Size: 8, Seq: 1}}}))
+	// Go-native sync ops, so the corpus reaches the top of the op range
+	// from the start.
 	f.Add(AppendBatchFrame(nil, Header{Session: 3, Seq: 1}, &event.Batch{Recs: []event.Rec{
 		{Op: event.OpChanSend, Tid: 1, Aux: 4, Seq: 1},
 		{Op: event.OpChanRecv, Tid: 2, Aux: 4, Seq: 2},
 		{Op: event.OpChanAck, Tid: 1, Aux: 4, Seq: 3},
 	}}))
-	f.Add(AppendBatchFrameCodec(nil, Header{Session: 4, Seq: 1}, &event.Batch{Recs: []event.Rec{
+	f.Add(AppendBatchFrame(nil, Header{Session: 4, Seq: 1}, &event.Batch{Recs: []event.Rec{
 		{Op: event.OpWGAdd, Tid: 0, Aux: 1, Size: 2, Seq: 1},
 		{Op: event.OpWGDone, Tid: 1, Aux: 1, Seq: 2},
 		{Op: event.OpWGWait, Tid: 0, Aux: 1, Seq: 3},
-	}}, CodecColumnar))
+	}}))
 	// Columnar-decoder edge seeds: a payload truncated mid-column, an
 	// oversized count prefix, and a count that disagrees with the column
 	// sections — the mutation engine starts at the cols decoder's error
@@ -91,20 +91,27 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if h.Type != TypeBatch || h.Session != 99 || h.Seq != 7 {
 			t.Fatalf("header mangled: %+v", h)
 		}
-		got, err := DecodeBatch(payload)
-		if err != nil {
+		var got event.Batch
+		if err := DecodeColumnarInto(payload, &got); err != nil {
 			t.Fatalf("own payload rejected: %v", err)
 		}
 		if len(got.Recs) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(got.Recs, recs)) {
 			t.Fatalf("round trip mismatch: %d vs %d recs", len(got.Recs), len(recs))
 		}
-		event.PutBatch(got)
 
-		// Truncations must never decode successfully.
+		// Truncations must never decode successfully, at the frame layer
+		// or as a bare payload.
 		if len(frame) > 0 {
 			cut := len(frame) - 1 - int(uint(len(data))%uint(len(frame)))
 			if _, _, err := NewReader(bytes.NewReader(frame[:cut]), 0).ReadFrame(); err == nil {
 				t.Fatalf("truncated frame (%d of %d bytes) accepted", cut, len(frame))
+			}
+		}
+		if len(payload) > 0 {
+			cut := int(uint(len(data)) % uint(len(payload)))
+			var tb event.Batch
+			if err := DecodeColumnarInto(payload[:cut], &tb); err == nil && len(recs) > 0 {
+				t.Fatalf("truncated payload (%d of %d bytes) accepted", cut, len(payload))
 			}
 		}
 		// Single-byte corruption must be rejected (magic, CRC, or length
@@ -113,51 +120,20 @@ func FuzzWireRoundTrip(f *testing.F) {
 			pos := int(uint(data[0])) % len(frame)
 			mut := append([]byte(nil), frame...)
 			mut[pos] ^= 1 + data[len(data)-1]%255
-			mh, mp, err := NewReader(bytes.NewReader(mut), uint32(len(frame))).ReadFrame()
-			if err == nil {
+			if _, mp, err := NewReader(bytes.NewReader(mut), uint32(len(frame))).ReadFrame(); err == nil {
 				// The flipped byte must have been in the header's
 				// non-integrity-checked fields (type/flags/shard/
 				// session/seq) — the payload itself is CRC-protected.
-				if mb, derr := DecodeBatch(mp); derr == nil {
-					if len(mb.Recs) != len(recs) ||
-						(len(recs) > 0 && !reflect.DeepEqual(mb.Recs, recs)) {
-						t.Fatalf("corruption at byte %d silently changed the decoded records", pos)
-					}
-					event.PutBatch(mb)
+				var mb event.Batch
+				if DecodeColumnarInto(mp, &mb) == nil &&
+					(len(mb.Recs) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(mb.Recs, recs))) {
+					t.Fatalf("corruption at byte %d silently changed the decoded records", pos)
 				}
-				_ = mh
 			}
 		}
 
-		// Property 2: the columnar codec is also the identity, for the same
-		// arbitrary records, and its frames survive the frame layer.
-		cframe := AppendBatchFrameCodec(nil, Header{Session: 99, Seq: 7}, b, CodecColumnar)
-		ch, cpayload, err := NewReader(bytes.NewReader(cframe), 0).ReadFrame()
-		if err != nil {
-			t.Fatalf("own columnar frame rejected: %v", err)
-		}
-		if ch.Type != TypeBatch || ch.Session != 99 || ch.Seq != 7 {
-			t.Fatalf("columnar header mangled: %+v", ch)
-		}
-		cgot, err := DecodeBatchCodec(cpayload, CodecColumnar)
-		if err != nil {
-			t.Fatalf("own columnar payload rejected: %v", err)
-		}
-		if len(cgot.Recs) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(cgot.Recs, recs)) {
-			t.Fatalf("columnar round trip mismatch: %d vs %d recs", len(cgot.Recs), len(recs))
-		}
-		event.PutBatch(cgot)
-		// Truncated columnar payloads must never decode.
-		if len(cpayload) > 0 {
-			cut := int(uint(len(data)) % uint(len(cpayload)))
-			var tb event.Batch
-			if err := DecodeColumnarInto(cpayload[:cut], &tb); err == nil && len(recs) > 0 {
-				t.Fatalf("truncated columnar payload (%d of %d bytes) accepted", cut, len(cpayload))
-			}
-		}
-
-		// Property 2b: the columnar Cols decoder and encoder are exact
-		// twins of the record-major ones — byte-identical encoding, and
+		// Property 2: the Cols decoder and encoder are exact twins of the
+		// record-major ones — byte-identical encoding, and
 		// identical accept/reject + records on arbitrary payload bytes.
 		cols := event.GetCols()
 		for i := range recs {
@@ -195,11 +171,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if bb, err := DecodeBatch(p); err == nil {
-				event.PutBatch(bb)
-			}
-			if bb, err := DecodeBatchCodec(p, CodecColumnar); err == nil {
-				event.PutBatch(bb)
+			if c, err := DecodeColumnarCols(p); err == nil {
+				event.PutCols(c)
 			}
 		}
 		var rb event.Batch

@@ -1,6 +1,6 @@
 // Package wire is the network framing of the detection event stream: a
-// versioned, length-prefixed binary encoding of event.Batch plus the
-// session control frames (Hello/HelloAck negotiation, Ack windowing,
+// versioned, length-prefixed binary encoding of event batches plus the
+// session control frames (Hello/HelloAck handshake, Ack windowing,
 // Flush, Close/Report) that let an instrumented producer stream its
 // events to a remote racedetectd and retrieve the race report when the
 // run ends.
@@ -10,9 +10,9 @@
 // Every frame is a fixed 32-byte header followed by a payload:
 //
 //	offset  size  field
-//	0       4     magic "RDw1" (protocol version is part of the magic)
+//	0       4     magic "RDw1" (frame layout; the protocol version rides in Hello)
 //	4       1     frame type (Hello, Batch, Ack, ...)
-//	5       1     flags (reserved, must be 0)
+//	5       1     flags (FlagTraced on Batch frames, otherwise 0)
 //	6       2     shard hint (little-endian uint16; 0 = unsharded stream)
 //	8       8     session id
 //	16      8     sequence number (meaning depends on frame type)
@@ -20,15 +20,14 @@
 //	28      4     CRC-32C (Castagnoli) of the payload
 //	32      ...   payload
 //
-// Batch payloads carry event records in the session's negotiated codec:
-// the original packed array of 37-byte records (CodecPacked) or the
-// columnar delta-varint format (CodecColumnar, see columnar.go). Control
-// payloads are JSON, which keeps negotiation extensible without burning
-// protocol versions — the codec itself is negotiated through the
-// Hello/HelloAck JSON exchange. The shard hint lets a
-// multi-process ingest tier route frames to shard queues without decoding
-// the payload; the reference client always streams the full event stream
-// of one execution and sets it to 0.
+// Batch payloads carry event records in the columnar delta-varint
+// encoding (see columnar.go), the protocol's only batch encoding. Control
+// payloads are JSON, which keeps the handshake extensible; the Hello
+// version is checked exactly, so a peer speaking another protocol version
+// is refused at the handshake instead of having its batches misdecoded.
+// The shard hint lets a multi-process ingest tier route frames to shard
+// queues without decoding the payload; the reference client always
+// streams the full event stream of one execution and sets it to 0.
 //
 // # Sequence numbers and windowing
 //
@@ -42,8 +41,8 @@
 // error (a gap).
 //
 // Decoding is allocation-recycled: Reader reuses one payload buffer, and
-// DecodeBatch fills batches from event's sync.Pool, so a server ingesting
-// a steady stream allocates nothing per frame.
+// DecodeColumnarCols fills columnar batches from event's pool, so a server
+// ingesting a steady stream allocates nothing per frame.
 package wire
 
 import (
@@ -56,27 +55,30 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/event"
-	"repro/internal/vc"
 )
 
-// Magic identifies protocol version 1 frames ("RDw1" little-endian).
+// Magic identifies the frame layout ("RDw1" little-endian).
 const Magic uint32 = 0x31774452
 
-// Version is the protocol version negotiated in Hello frames. It is
-// carried redundantly with the magic so a future magic-compatible revision
-// can still refuse clients by version.
-const Version = 1
+// Version is the protocol version a Hello must carry. Version 1 streamed
+// packed 37-byte records; version 2 streams columnar payloads only. The
+// magic did not change between them, so the version is what refuses an
+// old client with CodeBadVersion before any of its batches is decoded.
+const Version = 2
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 32
 
-// RecSize is the packed on-wire size of one event record.
+// RecSize is the nominal size of one event record packed field by field
+// (op 1, tid 4, size 4, pc 4, addr 8, aux 8, seq 8 bytes). No frame
+// carries packed records; it is the raw-size baseline that
+// wire_raw_bytes_total and the compression ratio are defined against.
 const RecSize = 37
 
-// DefaultMaxFrameBytes bounds the payload length a Reader accepts. One
-// full event.Batch is DefaultBatchSize*RecSize ≈ 76 KiB; 1 MiB leaves
-// generous headroom for report payloads while keeping a malicious length
-// prefix from ballooning server memory.
+// DefaultMaxFrameBytes bounds the payload length a Reader accepts. Even a
+// full event.Batch at the nominal DefaultBatchSize*RecSize ≈ 76 KiB fits
+// with generous headroom for report payloads, while a malicious length
+// prefix cannot balloon server memory.
 const DefaultMaxFrameBytes = 1 << 20
 
 // Type enumerates the frame types.
@@ -165,95 +167,19 @@ func putHeader(b []byte, h Header, length, crc uint32) {
 	binary.LittleEndian.PutUint32(b[28:], crc)
 }
 
-// AppendBatchFrame encodes b's records as a Batch frame appended to dst.
-// The frame's sequence number is h.Seq (the caller's batch counter); the
-// records' own Seq fields ride along inside the payload so a decoded batch
-// is bit-identical to the encoded one.
+// AppendBatchFrame encodes b's records as an untraced columnar Batch frame
+// appended to dst (AppendBatchFrameTraced with a zero span context). The
+// frame's sequence number is h.Seq (the caller's batch counter); the
+// records' own Seq fields ride along inside the payload, so a decoded
+// batch is bit-identical to the encoded one.
 func AppendBatchFrame(dst []byte, h Header, b *event.Batch) []byte {
-	h.Type = TypeBatch
-	off := len(dst)
-	n := len(b.Recs) * RecSize
-	dst = append(dst, make([]byte, HeaderSize+n)...)
-	payload := dst[off+HeaderSize:]
-	for i := range b.Recs {
-		PutRec(payload[i*RecSize:], &b.Recs[i])
-	}
-	putHeader(dst[off:], h, uint32(n), crc32.Checksum(payload[:n], castagnoli))
-	return dst
+	return AppendBatchFrameTraced(dst, h, b, 0, 0)
 }
 
-// PutRec packs one record into b (little-endian, RecSize bytes):
-//
-//	0   Op    uint8
-//	1   Tid   int32
-//	5   Size  uint32
-//	9   PC    uint32
-//	13  Addr  uint64
-//	21  Aux   uint64
-//	29  Seq   uint64
-func PutRec(b []byte, r *event.Rec) {
-	_ = b[RecSize-1]
-	b[0] = byte(r.Op)
-	binary.LittleEndian.PutUint32(b[1:], uint32(r.Tid))
-	binary.LittleEndian.PutUint32(b[5:], r.Size)
-	binary.LittleEndian.PutUint32(b[9:], uint32(r.PC))
-	binary.LittleEndian.PutUint64(b[13:], r.Addr)
-	binary.LittleEndian.PutUint64(b[21:], r.Aux)
-	binary.LittleEndian.PutUint64(b[29:], r.Seq)
-}
-
-// GetRec unpacks one record from b (the inverse of PutRec).
-func GetRec(b []byte, r *event.Rec) {
-	_ = b[RecSize-1]
-	r.Op = event.Op(b[0])
-	r.Tid = vc.TID(binary.LittleEndian.Uint32(b[1:]))
-	r.Size = binary.LittleEndian.Uint32(b[5:])
-	r.PC = event.PC(binary.LittleEndian.Uint32(b[9:]))
-	r.Addr = binary.LittleEndian.Uint64(b[13:])
-	r.Aux = binary.LittleEndian.Uint64(b[21:])
-	r.Seq = binary.LittleEndian.Uint64(b[29:])
-}
-
-// MaxOp is the highest valid operation code; DecodeBatchInto rejects
+// MaxOp is the highest valid operation code; the columnar decoders reject
 // records beyond it so corrupted frames cannot smuggle unknown ops into a
-// detector dispatch. Raised from OpFree when the Go-native sync ops
-// (channel send/recv/ack, WaitGroup add/done/wait) joined the stream; an
-// old decoder rejects frames carrying them rather than misapplying.
+// detector dispatch.
 const MaxOp = event.OpWGWait
-
-// DecodeBatchInto decodes a Batch payload into b (appending to b.Recs).
-// The payload must be a whole number of records with valid op codes. On
-// any error b is rewound to its length at entry — like the columnar
-// decoder, a failed decode never leaves partial records behind for a
-// caller that recycles b through the batch pool.
-func DecodeBatchInto(payload []byte, b *event.Batch) error {
-	if len(payload)%RecSize != 0 {
-		return fmt.Errorf("wire: batch payload length %d is not a multiple of %d", len(payload), RecSize)
-	}
-	base := len(b.Recs)
-	n := len(payload) / RecSize
-	for i := 0; i < n; i++ {
-		var r event.Rec
-		GetRec(payload[i*RecSize:], &r)
-		if r.Op > MaxOp {
-			b.Recs = b.Recs[:base]
-			return fmt.Errorf("wire: record %d has unknown op %d", i, r.Op)
-		}
-		b.Recs = append(b.Recs, r)
-	}
-	return nil
-}
-
-// DecodeBatch decodes a Batch payload into a pooled batch. The caller owns
-// the batch and should return it with event.PutBatch.
-func DecodeBatch(payload []byte) (*event.Batch, error) {
-	b := event.GetBatch()
-	if err := DecodeBatchInto(payload, b); err != nil {
-		event.PutBatch(b)
-		return nil, err
-	}
-	return b, nil
-}
 
 // Reader decodes frames from a byte stream, reusing one payload buffer
 // across calls (the returned payload is valid only until the next
@@ -328,27 +254,23 @@ func (rd *Reader) ReadFrame() (Header, []byte, error) {
 
 // ---- control payloads ----
 
-// Hello is the client's opening negotiation. Granularity and the detector
+// Hello is the client's opening handshake. Granularity and the detector
 // knobs mirror detector.Config; Workers requests the server-side shard
 // count (0 lets the server choose). Resume names an existing session to
 // re-attach to after a connection drop; the server replies with the last
 // batch sequence it applied so the client can replay only unacknowledged
 // batches.
 type Hello struct {
-	Version int    `json:"version"`
-	Resume  uint64 `json:"resume,omitempty"`
-	// Codec is the highest batch codec the client speaks (CodecPacked,
-	// CodecColumnar). Absent (0) from pre-codec clients, which the server
-	// maps to CodecPacked — see NegotiateCodec.
-	Codec            int   `json:"codec,omitempty"`
-	Granularity      uint8 `json:"granularity"`
-	Workers          int   `json:"workers"`
-	Window           int   `json:"window"`
-	NoInitState      bool  `json:"no_init_state,omitempty"`
-	NoInitSharing    bool  `json:"no_init_sharing,omitempty"`
-	WriteGuidedReads bool  `json:"write_guided_reads,omitempty"`
-	ReadReset        bool  `json:"read_reset,omitempty"`
-	ReshareInterval  uint8 `json:"reshare_interval,omitempty"`
+	Version          int    `json:"version"`
+	Resume           uint64 `json:"resume,omitempty"`
+	Granularity      uint8  `json:"granularity"`
+	Workers          int    `json:"workers"`
+	Window           int    `json:"window"`
+	NoInitState      bool   `json:"no_init_state,omitempty"`
+	NoInitSharing    bool   `json:"no_init_sharing,omitempty"`
+	WriteGuidedReads bool   `json:"write_guided_reads,omitempty"`
+	ReadReset        bool   `json:"read_reset,omitempty"`
+	ReshareInterval  uint8  `json:"reshare_interval,omitempty"`
 	// Clock selects the thread-clock representation (detector.ClockMode):
 	// 0 general vector clocks, 1 compact task-tree clocks with demotion.
 	// Absent (0) from pre-clock clients, preserving general-mode behavior.
@@ -367,7 +289,7 @@ type Hello struct {
 	Provenance bool `json:"provenance,omitempty"`
 }
 
-// HelloAck is the server's negotiation reply. Window is the granted
+// HelloAck is the server's handshake reply. Window is the granted
 // in-flight batch window (≤ the requested one); AckEvery is the server's
 // acknowledgement cadence (always ≤ Window/2, or 1, so the window cannot
 // wedge); ResumeSeq is the last applied batch sequence (0 for a fresh
@@ -377,14 +299,8 @@ type HelloAck struct {
 	Window    int    `json:"window"`
 	AckEvery  int    `json:"ack_every"`
 	ResumeSeq uint64 `json:"resume_seq"`
-	// Codec is the granted batch codec: min(client ceiling, server
-	// ceiling). Absent (0) from pre-codec servers, which the client maps
-	// to CodecPacked. Every Batch frame of the session uses this codec.
-	Codec int `json:"codec,omitempty"`
-	// Trace grants the client's Hello.Trace request. Absent (false) from
-	// pre-trace servers, so a new client talking to an old server simply
-	// never sends traced frames — the same absent-means-v1 interop rule as
-	// Codec.
+	// Trace grants the client's Hello.Trace request. Absent (false) means
+	// not granted, so the client never sends traced frames.
 	Trace bool `json:"trace,omitempty"`
 }
 

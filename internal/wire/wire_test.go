@@ -17,11 +17,16 @@ func randRecs(n int, seed int64) []event.Rec {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]event.Rec, n)
 	for i := range recs {
+		op := event.Op(rng.Intn(int(MaxOp) + 1))
+		aux := rng.Uint64()
+		if carriesChild(op) {
+			aux >>= 33 // a fork/join child tid must fit vc.TID
+		}
 		recs[i] = event.Rec{
-			Op:   event.Op(rng.Intn(int(MaxOp) + 1)),
+			Op:   op,
 			Tid:  vc.TID(rng.Int31()),
 			Addr: rng.Uint64(),
-			Aux:  rng.Uint64(),
+			Aux:  aux,
 			Seq:  rng.Uint64(),
 			Size: rng.Uint32(),
 			PC:   event.PC(rng.Uint32()),
@@ -30,14 +35,17 @@ func randRecs(n int, seed int64) []event.Rec {
 	return recs
 }
 
+// TestRecRoundTrip round-trips single records with arbitrary field values
+// through one-record payloads: every column's delta starts from zero, so
+// each field crosses the wire at its full width.
 func TestRecRoundTrip(t *testing.T) {
 	for _, r := range randRecs(100, 1) {
-		var buf [RecSize]byte
-		PutRec(buf[:], &r)
-		var got event.Rec
-		GetRec(buf[:], &got)
-		if got != r {
-			t.Fatalf("record round trip: got %+v want %+v", got, r)
+		var got event.Batch
+		if err := DecodeColumnarInto(AppendColumnar(nil, []event.Rec{r}), &got); err != nil {
+			t.Fatalf("record %+v: %v", r, err)
+		}
+		if len(got.Recs) != 1 || got.Recs[0] != r {
+			t.Fatalf("record round trip: got %+v want %+v", got.Recs, r)
 		}
 	}
 }
@@ -46,7 +54,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	b := &event.Batch{Recs: randRecs(striped, 2)}
 	h := Header{Session: 7, Seq: 42, Shard: 3}
 	frame := AppendBatchFrame(nil, h, b)
-	if len(frame) != HeaderSize+len(b.Recs)*RecSize {
+	if len(frame) != HeaderSize+len(AppendColumnar(nil, b.Recs)) {
 		t.Fatalf("frame length %d", len(frame))
 	}
 	rd := NewReader(bytes.NewReader(frame), 0)
@@ -57,11 +65,10 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	if gh.Type != TypeBatch || gh.Session != 7 || gh.Seq != 42 || gh.Shard != 3 {
 		t.Fatalf("header round trip: %+v", gh)
 	}
-	got, err := DecodeBatch(payload)
-	if err != nil {
+	var got event.Batch
+	if err := DecodeColumnarInto(payload, &got); err != nil {
 		t.Fatal(err)
 	}
-	defer event.PutBatch(got)
 	if !reflect.DeepEqual(got.Recs, b.Recs) {
 		t.Fatal("decoded batch differs from encoded batch")
 	}
@@ -131,31 +138,31 @@ func TestReaderRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("oversized", func(t *testing.T) {
-		_, _, err := NewReader(bytes.NewReader(frame), uint32(len(b.Recs)*RecSize-1)).ReadFrame()
+		_, _, err := NewReader(bytes.NewReader(frame), uint32(len(frame)-HeaderSize-1)).ReadFrame()
 		if !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("want ErrTooLarge, got %v", err)
 		}
 	})
 	t.Run("ragged-batch-payload", func(t *testing.T) {
-		// A CRC-valid frame whose payload is not a whole number of records.
-		ragged := AppendFrame(nil, Header{Type: TypeBatch, Seq: 1}, make([]byte, RecSize+1))
+		// A CRC-valid frame whose payload runs past its last column.
+		ragged := AppendFrame(nil, Header{Type: TypeBatch, Seq: 1}, append(AppendColumnar(nil, b.Recs), 0))
 		_, payload, err := NewReader(bytes.NewReader(ragged), 0).ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeBatch(payload); err == nil {
+		if _, err := DecodeColumnarCols(payload); err == nil {
 			t.Fatal("ragged payload accepted")
 		}
 	})
 	t.Run("unknown-op", func(t *testing.T) {
-		payload := make([]byte, RecSize)
-		payload[0] = byte(MaxOp) + 1
+		payload := AppendColumnar(nil, b.Recs[:1])
+		payload[1] = byte(MaxOp) + 1 // the op byte after the one-byte count
 		framed := AppendFrame(nil, Header{Type: TypeBatch, Seq: 1}, payload)
 		_, p, err := NewReader(bytes.NewReader(framed), 0).ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeBatch(p); err == nil {
+		if _, err := DecodeColumnarCols(p); err == nil {
 			t.Fatal("unknown op accepted")
 		}
 	})
@@ -229,12 +236,12 @@ func TestEncoderToWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := DecodeBatch(payload)
+		c, err := DecodeColumnarCols(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Apply(&got)
-		event.PutBatch(b)
+		c.Apply(&got)
+		event.PutCols(c)
 	}
 	if got != want {
 		t.Fatalf("replayed stream differs:\ngot  %+v\nwant %+v", got, want)

@@ -18,7 +18,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero-value", Options{}, ""},
 		{"fasttrack-dynamic-workers", Options{Granularity: Dynamic, Workers: 8}, ""},
 		{"eraser", Options{Tool: Eraser}, ""},
-		{"multirace", Options{Tool: MultiRace}, ""},
 		{"remote-fasttrack", Options{Remote: "localhost:7474"}, ""},
 		{"remote-sync", Options{Remote: "localhost:7474", RemoteSync: true}, ""},
 		{"limits", Options{MemLimitBytes: 1 << 30, Timeout: time.Second, Quantum: 100}, ""},
@@ -28,13 +27,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"cluster", Options{Cluster: []string{"localhost:7474", "localhost:7475"}}, ""},
 		{"cluster-single", Options{Cluster: []string{"127.0.0.1:7474"}}, ""},
 		{"cluster-sync", Options{Cluster: []string{"localhost:7474"}, RemoteSync: true}, ""},
-		{"cluster-codec", Options{Cluster: []string{"localhost:7474"}, Codec: "v1"}, ""},
 		{"cluster-migration", Options{
 			Cluster:          []string{"localhost:7474", "localhost:7475"},
 			ClusterMigration: &ClusterMigration{Slot: -1, To: "localhost:7476", AfterEvents: 100},
 		}, ""},
 
-		{"unknown-tool", Options{Tool: MultiRace + 1}, "Tool"},
+		{"unknown-tool", Options{Tool: Eraser + 1}, "Tool"},
 		{"unknown-tool-big", Options{Tool: 200}, "Tool"},
 		{"unknown-granularity", Options{Granularity: Dynamic + 1}, "Granularity"},
 		{"negative-workers", Options{Workers: -1}, "Workers"},

@@ -40,7 +40,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/hybrid"
 	"repro/internal/lockset"
-	"repro/internal/multirace"
 	"repro/internal/pipeline"
 	"repro/internal/sampling"
 	"repro/internal/segment"
@@ -121,9 +120,6 @@ const (
 	InspectorXE
 	// Eraser is the LockSet algorithm.
 	Eraser
-	// MultiRace combines LockSet as a sound prefilter with DJIT+-style
-	// happens-before confirmation (related work [19]).
-	MultiRace
 )
 
 func (t Tool) String() string {
@@ -138,8 +134,6 @@ func (t Tool) String() string {
 		return "inspector"
 	case Eraser:
 		return "eraser"
-	case MultiRace:
-		return "multirace"
 	default:
 		return "?"
 	}
@@ -215,16 +209,6 @@ type Options struct {
 	// instead of streaming asynchronously behind a bounded window. Applies
 	// to Remote and Cluster sessions.
 	RemoteSync bool
-	// Codec picks the batch codec ceiling a Remote session may negotiate:
-	// "" or "auto" requests the best both sides speak (currently the v2
-	// delta-varint columnar format), "v1" forces the original packed
-	// records, "v2" requests columnar explicitly. The server may always
-	// grant less; detection results are identical either way.
-	Codec string
-	// Dispatch selects the router→worker transport of the local sharded
-	// pipeline (Workers > 0): "" or "ring" for the lock-free SPSC ring,
-	// "chan" for the buffered-channel baseline (benchmark comparisons).
-	Dispatch string
 	// BatchPolicy selects transport batch sizing: "" or "fixed" ships
 	// full event.DefaultBatchSize batches; "adaptive" sizes batches from
 	// observed back-pressure (worker-queue occupancy locally; outbox
@@ -322,7 +306,7 @@ func (e *OptionsError) Error() string {
 // or nil. Run and RunE call it; it is exported so front-ends (flag
 // parsing, config files) can reject bad configurations early.
 func (o Options) Validate() error {
-	if o.Tool > MultiRace {
+	if o.Tool > Eraser {
 		return &OptionsError{"Tool", fmt.Sprintf("unknown tool %d", o.Tool)}
 	}
 	if o.Granularity > Dynamic {
@@ -385,19 +369,6 @@ func (o Options) Validate() error {
 	}
 	if o.RemoteSync && o.Remote == "" && len(o.Cluster) == 0 {
 		return &OptionsError{"RemoteSync", "requires Remote or Cluster to be set"}
-	}
-	switch o.Codec {
-	case "", "auto", "v1", "v2":
-	default:
-		return &OptionsError{"Codec", fmt.Sprintf("unknown codec %q (want auto, v1 or v2)", o.Codec)}
-	}
-	if o.Codec != "" && o.Codec != "auto" && o.Remote == "" && len(o.Cluster) == 0 {
-		return &OptionsError{"Codec", "requires Remote or Cluster to be set (in-process detection has no wire codec)"}
-	}
-	switch o.Dispatch {
-	case "", "ring", "chan":
-	default:
-		return &OptionsError{"Dispatch", fmt.Sprintf("unknown dispatch %q (want ring or chan)", o.Dispatch)}
 	}
 	switch o.BatchPolicy {
 	case "", "fixed", "adaptive":
@@ -577,18 +548,6 @@ func (o Options) engineOptions() sim.Options {
 	return so
 }
 
-// wireCodec maps the Options.Codec string onto the wire codec ceiling the
-// client requests (0 = best available).
-func (o Options) wireCodec() int {
-	switch o.Codec {
-	case "v1":
-		return wire.CodecPacked
-	case "v2":
-		return wire.CodecColumnar
-	}
-	return 0 // auto: the client requests wire.CodecMax
-}
-
 // batchPolicy returns a fresh adaptive policy when requested, else nil
 // (fixed-size batches).
 func (o Options) batchPolicy() *event.BatchPolicy {
@@ -711,7 +670,6 @@ func runRemote(p Program, opts Options) (Report, error) {
 		Addr:        opts.Remote,
 		Sync:        opts.RemoteSync,
 		Telemetry:   opts.Telemetry,
-		Codec:       opts.wireCodec(),
 		BatchPolicy: opts.batchPolicy(),
 		TraceSample: opts.TraceSample,
 		Tracer:      opts.Tracer,
@@ -800,7 +758,6 @@ func runLocal(p Program, opts Options) Report {
 				Workers:     opts.Workers,
 				Detector:    cfg,
 				Telemetry:   opts.Telemetry,
-				Dispatch:    opts.Dispatch,
 				BatchPolicy: opts.batchPolicy(),
 				Tracer:      opts.Tracer,
 			}
@@ -889,18 +846,6 @@ func runLocal(p Program, opts Options) Report {
 				r.Races = append(r.Races, Race{
 					Kind: "lockset", Addr: x.Addr, Size: 4,
 					Tid: int32(x.Tid), PC: uint32(x.PC),
-				})
-			}
-		}
-	case MultiRace:
-		d := multirace.New(multirace.Options{})
-		sink = d
-		collect = func(r *Report) {
-			r.Detector.SharingComparisons = d.ChecksRun
-			for _, x := range d.Races() {
-				r.Races = append(r.Races, Race{
-					Kind: x.Kind.String(), Addr: x.Addr, Size: multirace.Granule,
-					Tid: int32(x.Tid), PC: uint32(x.PC), OtherTid: int32(x.Other),
 				})
 			}
 		}

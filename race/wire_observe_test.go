@@ -3,91 +3,76 @@ package race
 import (
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 	"repro/workloads"
 )
 
-// codecPayloadBytes returns the wire_payload_bytes_total series for one
-// codec label (0 when the series was never registered).
-func codecPayloadBytes(reg *telemetry.Registry, codec string) uint64 {
-	var v uint64
-	reg.Each(func(m telemetry.Metric) {
-		if m.Name == "wire_payload_bytes_total" && m.Labels["codec"] == codec {
-			v = uint64(m.Value)
-		}
-	})
-	return v
-}
-
 // TestWireTelemetryReconciliation pins the wire byte accounting the same
-// way TestTelemetryReconciliation pins the detector counters: on a
-// forced-v1 remote run every streamed record costs exactly wire.RecSize
-// payload bytes, so raw bytes, v1 payload bytes, and events x 37 must all
-// agree to the byte; on a default (columnar) run the v2 payload must beat
-// the packed baseline by the >=4x the issue promises, and the live
-// compression-ratio gauge must say so too.
+// way TestTelemetryReconciliation pins the detector counters, exactly: the
+// raw counter is events x wire.RecSize, the v2 payload counter equals the
+// columnar encoding of the same batches re-encoded here, and the live
+// compression-ratio gauge is their quotient — which on this locality
+// stream must be the >=4x the columnar codec promises.
 func TestWireTelemetryReconciliation(t *testing.T) {
 	addr := startDetectd(t, server.Options{})
 	spec, err := workloads.ByName("pbzip2")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	run := func(codec string) *telemetry.Registry {
-		reg := telemetry.New()
-		if _, err := RunE(spec.Program(), Options{
-			Granularity: Dynamic, Seed: 42, Workers: 2,
-			Remote: addr, Codec: codec, Telemetry: reg,
-		}); err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
-		}
-		return reg
+	opts := Options{Granularity: Dynamic, Seed: 42, Workers: 2, Remote: addr, Telemetry: telemetry.New()}
+	if _, err := RunE(spec.Program(), opts); err != nil {
+		t.Fatal(err)
 	}
+	reg := opts.Telemetry
 
-	// Forced v1: the stream is the packed baseline, so the accounting is
-	// exact, not approximate.
-	reg := run("v1")
-	events := reg.CounterValue("client_events_total")
+	// The client batches with a fixed-size event.Encoder, so replaying the
+	// same schedule through one reproduces its batches exactly.
+	var batches, events, want uint64
+	enc := &event.Encoder{Flush: func(b *event.Batch) {
+		batches++
+		events += uint64(len(b.Recs))
+		want += uint64(len(wire.AppendColumnar(nil, b.Recs)))
+		event.PutBatch(b)
+	}}
+	sim.Run(spec.Program(), enc, opts.engineOptions())
+	enc.Close()
+
+	if got := reg.CounterValue("client_batches_total"); got != batches {
+		t.Fatalf("client_batches_total = %d, re-encoded stream has %d batches", got, batches)
+	}
+	if got := reg.CounterValue("client_events_total"); got != events {
+		t.Fatalf("client_events_total = %d, re-encoded stream has %d events", got, events)
+	}
 	raw := reg.CounterValue("wire_raw_bytes_total")
-	if events == 0 {
-		t.Fatal("v1 run streamed no events")
+	if raw != events*wire.RecSize {
+		t.Errorf("wire_raw_bytes_total = %d, want events x %d = %d", raw, wire.RecSize, events*wire.RecSize)
 	}
-	if want := events * wire.RecSize; raw != want {
-		t.Errorf("wire_raw_bytes_total = %d, want events x %d = %d", raw, wire.RecSize, want)
+	var v2 uint64
+	series := 0
+	reg.Each(func(m telemetry.Metric) {
+		if m.Name == "wire_payload_bytes_total" {
+			series++
+			if m.Labels["codec"] == "v2" {
+				v2 = uint64(m.Value)
+			}
+		}
+	})
+	if series != 1 {
+		t.Errorf("wire_payload_bytes_total has %d series, want only codec=v2", series)
 	}
-	if v1 := codecPayloadBytes(reg, "v1"); v1 != raw {
-		t.Errorf("v1 payload bytes = %d, want raw %d (packed batches carry records verbatim)", v1, raw)
+	if v2 != want {
+		t.Errorf("v2 payload bytes = %d, want %d (the columnar encoding of every batch)", v2, want)
 	}
-	if v2 := codecPayloadBytes(reg, "v2"); v2 != 0 {
-		t.Errorf("v2 payload bytes = %d on a forced-v1 session", v2)
+	ratio := reg.GaugeValue("wire_compression_ratio")
+	if want := float64(raw) / float64(v2); ratio != want {
+		t.Errorf("wire_compression_ratio = %v, want raw/v2 = %v", ratio, want)
 	}
-	if ratio := reg.GaugeValue("wire_compression_ratio"); ratio != 1 {
-		t.Errorf("wire_compression_ratio = %v on a forced-v1 session, want 1", ratio)
-	}
-
-	// Default negotiation grants columnar; the >=4x bytes-per-record win is
-	// the tentpole's acceptance bar, asserted here on live counters.
-	reg = run("")
-	events = reg.CounterValue("client_events_total")
-	raw = reg.CounterValue("wire_raw_bytes_total")
-	v2 := codecPayloadBytes(reg, "v2")
-	if events == 0 || raw != events*wire.RecSize {
-		t.Fatalf("columnar run accounting broken: events=%d raw=%d", events, raw)
-	}
-	if v2 == 0 {
-		t.Fatal("columnar run recorded no v2 payload bytes")
-	}
-	if v1 := codecPayloadBytes(reg, "v1"); v1 != 0 {
-		t.Errorf("v1 payload bytes = %d on a columnar session", v1)
-	}
-	if v2*4 > raw {
-		t.Errorf("columnar payload %d bytes for %d raw: less than 4x compression (%.2f B/event)",
-			v2, raw, float64(v2)/float64(events))
-	}
-	if ratio := reg.GaugeValue("wire_compression_ratio"); ratio < 4 {
-		t.Errorf("wire_compression_ratio = %.2f, want >= 4", ratio)
+	if ratio < 4 {
+		t.Errorf("wire_compression_ratio = %.2f, want >= 4 (%.2f B/event)", ratio, float64(v2)/float64(events))
 	}
 }
 

@@ -175,7 +175,7 @@ func TestRaytracePthreadSuppression(t *testing.T) {
 // hmmsearch's single race is found by every tool (the paper's agreement).
 func TestHmmsearchAllToolsAgree(t *testing.T) {
 	spec, _ := workloads.ByName("hmmsearch")
-	for _, tool := range []race.Tool{race.FastTrack, race.DJITPlus, race.DRD, race.InspectorXE, race.Eraser, race.MultiRace} {
+	for _, tool := range []race.Tool{race.FastTrack, race.DJITPlus, race.DRD, race.InspectorXE, race.Eraser} {
 		rep := race.Run(spec.Program(), race.Options{Tool: tool, Granularity: race.Dynamic, Seed: 42})
 		// Tools count differently (per byte, per word, per site pair);
 		// normalize to distinct word locations.
