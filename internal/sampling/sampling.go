@@ -23,11 +23,15 @@
 // mass regardless of budget; on iterating workloads it converges to the
 // budget as the run amortizes its cold start.
 //
-// The sampler is shard-safe: region state lives in an open-addressed
-// table of atomic slots updated by CAS, so it can sit in front of the
-// parallel pipeline, the remote client or the cluster fan-out sink with
-// concurrent producers. The skip path allocates nothing (the table only
-// grows when a cold site is first seen, on the forwarded path).
+// Like every event.Sink, the sampler has a single producer: region state
+// lives in a plain open-addressed table the sampler owns, and each access
+// costs one probe, one load and one store of the packed state. It may
+// still front the parallel pipeline, the remote client or the cluster
+// fan-out sink — those fan out behind it. Two observers may run on other
+// goroutines while events flow: SetRatePermille (the Controller's knob,
+// an atomic) and scrapes of the telemetry it registers. Counts and Rate
+// are for the producer, or for after the run. The skip path allocates
+// nothing (the table only grows when a cold region is first seen).
 //
 // On top of the per-region decay sits a global budget (RatePermille, set
 // from race.Options.Budget): hot regions converge to the budget rate, a
@@ -39,7 +43,6 @@ package sampling
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/event"
@@ -79,7 +82,7 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// Region state packs into one uint64 so a CAS updates it atomically:
+// Region state packs into one uint64:
 //
 //	bits  0–15  remaining  accesses left in the current burst
 //	bits 16–39  skip       accesses to skip before the next refresh
@@ -103,18 +106,10 @@ func unpackState(s uint64) (remaining, skip, gap uint32) {
 		uint32(s >> (remainingBits + skipBits))
 }
 
-// slot is one open-addressed table entry: a PC key (stored +1 so zero
-// means empty) and the packed region state. 16 bytes, cache-line friendly.
+// slot is one open-addressed table entry: a nonzero region key (zero
+// means empty) and the packed region state. 16 bytes.
 type slot struct {
-	key   atomic.Uint64
-	state atomic.Uint64
-}
-
-// table is one immutable-size generation of the region table; Detector
-// swaps in doubled generations as sites accumulate.
-type table struct {
-	mask  uint64
-	slots []slot
+	key, state uint64
 }
 
 // Metrics is the sampler's telemetry instrument set. All fields are
@@ -135,19 +130,19 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 }
 
 // Detector wraps an underlying sink with adaptive sampling; it implements
-// event.Sink and event.GoSink and is safe for concurrent producers.
+// event.Sink and event.GoSink. Like every sink it has a single producer;
+// only SetRatePermille and the telemetry it registers may be used from
+// other goroutines while events flow.
 type Detector struct {
 	opt   Options
 	under event.Sink
 
 	rate atomic.Uint32 // global budget in ‰; >=1000 → pass-through
 
-	tab    atomic.Pointer[table]
-	used   atomic.Int64
-	growMu sync.Mutex
+	slots []slot // open-addressed region table, power-of-two length
+	used  int
 
-	forwarded atomic.Uint64
-	skipped   atomic.Uint64
+	forwarded, skipped uint64
 
 	met *Metrics
 }
@@ -169,21 +164,20 @@ func New(under event.Sink, opt Options) *Detector {
 	if opt.BlockShift == 0 {
 		opt.BlockShift = 6
 	}
-	d := &Detector{opt: opt, under: under, met: NewMetrics(opt.Telemetry)}
+	d := &Detector{opt: opt, under: under, met: NewMetrics(opt.Telemetry), slots: make([]slot, 1024)}
 	d.rate.Store(opt.RatePermille)
-	t := &table{mask: 1023, slots: make([]slot, 1024)}
-	d.tab.Store(t)
 	if opt.Telemetry != nil {
 		opt.Telemetry.GaugeFunc("detector_sampled_fraction",
 			"Fraction of memory accesses forwarded to the detector (1 when unsampled).",
-			d.Rate)
+			func() float64 { return fraction(d.met.Forwarded.Load(), d.met.Skipped.Load()) })
 	}
 	return d
 }
 
 // SetRatePermille sets the global sampling budget in ‰ (the Controller's
 // knob). Values >= 1000 turn the sampler into a pass-through; values
-// below FloorPermille are clamped up to it.
+// below FloorPermille are clamped up to it. Safe to call from any
+// goroutine.
 func (d *Detector) SetRatePermille(r uint32) {
 	if r < d.opt.FloorPermille {
 		r = d.opt.FloorPermille
@@ -192,19 +186,23 @@ func (d *Detector) SetRatePermille(r uint32) {
 }
 
 // RatePermille returns the current global budget in ‰ (0 = unbudgeted
-// classic LiteRace decay).
+// classic LiteRace decay). Safe to call from any goroutine.
 func (d *Detector) RatePermille() uint32 { return d.rate.Load() }
 
-// Counts returns the forwarded/skipped access tallies.
+// Counts returns the forwarded/skipped access tallies. Call it from the
+// producer or after the run; observers on other goroutines read the
+// sampling_* telemetry counters instead.
 func (d *Detector) Counts() (forwarded, skipped uint64) {
-	return d.forwarded.Load(), d.skipped.Load()
+	return d.forwarded, d.skipped
 }
 
 // Rate returns the effective sampling rate over the run so far (1 when no
 // access has been observed, and on the 100% pass-through lane, which
-// counts nothing).
-func (d *Detector) Rate() float64 {
-	f, s := d.Counts()
+// counts nothing). Same caller rule as Counts.
+func (d *Detector) Rate() float64 { return fraction(d.forwarded, d.skipped) }
+
+// fraction is forwarded/(forwarded+skipped), 1 when both are zero.
+func fraction(f, s uint64) float64 {
 	if f+s == 0 {
 		return 1
 	}
@@ -233,72 +231,48 @@ func (d *Detector) maxGap(rate uint32) uint32 {
 // (site, block) pairs rarely collide; a collision only merges two
 // regions' sampling state, never correctness.
 func (d *Detector) regionKey(pc event.PC, addr uint64) uint64 {
-	return ((addr>>d.opt.BlockShift)+1)*0x9E3779B97F4A7C15 ^ (uint64(pc) + 1)
+	k := ((addr>>d.opt.BlockShift)+1)*0x9E3779B97F4A7C15 ^ (uint64(pc) + 1)
+	if k == 0 {
+		k = 1 // zero marks an empty slot
+	}
+	return k
 }
 
 // lookup returns the slot for region key k, inserting it (state zero =
-// untouched cold region) on first sight. Lock-free except when the table
-// doubles.
+// untouched cold region) on first sight. An insert that brings the table
+// to 3/4 full doubles it first, so the slot returned is always live.
 func (d *Detector) lookup(k uint64) *slot {
-	h := k * 0x9E3779B97F4A7C15
-	for {
-		t := d.tab.Load()
-		idx := (h >> 32) & t.mask
-		for probe := uint64(0); probe <= t.mask; probe++ {
-			s := &t.slots[(idx+probe)&t.mask]
-			switch got := s.key.Load(); got {
-			case k:
-				return s
-			case 0:
-				if !s.key.CompareAndSwap(0, k) {
-					if s.key.Load() == k {
-						return s
-					}
-					continue // lost to a different key; keep probing
-				}
-				if n := d.used.Add(1); uint64(n)*4 >= (t.mask+1)*3 {
-					d.grow(t)
-				}
-				return s
-			}
+	s := d.probe(k)
+	if s.key == 0 {
+		d.used++
+		if d.used*4 >= len(d.slots)*3 {
+			d.grow()
+			s = d.probe(k)
 		}
-		// Table replaced mid-probe (or pathologically full): retry on the
-		// current generation.
-		if d.tab.Load() == t {
-			d.grow(t)
+		s.key = k
+	}
+	return s
+}
+
+// probe returns k's slot, or the empty slot where k belongs.
+func (d *Detector) probe(k uint64) *slot {
+	mask := uint64(len(d.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15 >> 32) & mask; ; i = (i + 1) & mask {
+		if s := &d.slots[i]; s.key == k || s.key == 0 {
+			return s
 		}
 	}
 }
 
-// grow doubles the region table. Region updates racing with the copy can
-// be lost; that only perturbs a sampling decision (toward forwarding a
-// fresh burst), never correctness.
-func (d *Detector) grow(old *table) {
-	d.growMu.Lock()
-	defer d.growMu.Unlock()
-	cur := d.tab.Load()
-	if cur != old {
-		return // someone else already grew past this generation
-	}
-	size := (cur.mask + 1) * 2
-	next := &table{mask: size - 1, slots: make([]slot, size)}
-	for i := range cur.slots {
-		k := cur.slots[i].key.Load()
-		if k == 0 {
-			continue
-		}
-		st := cur.slots[i].state.Load()
-		idx := (k * 0x9E3779B97F4A7C15 >> 32) & next.mask
-		for probe := uint64(0); ; probe++ {
-			s := &next.slots[(idx+probe)&next.mask]
-			if s.key.Load() == 0 {
-				s.key.Store(k)
-				s.state.Store(st)
-				break
-			}
+// grow doubles the region table, carrying every region's state over.
+func (d *Detector) grow() {
+	old := d.slots
+	d.slots = make([]slot, 2*len(old))
+	for _, s := range old {
+		if s.key != 0 {
+			*d.probe(s.key) = s
 		}
 	}
-	d.tab.Store(next)
 }
 
 // sample decides whether this access of the region at (pc, addr block)
@@ -307,60 +281,48 @@ func (d *Detector) sample(pc event.PC, addr uint64) bool {
 	rate := d.rate.Load()
 	if rate >= 1000 {
 		// 100% budget: pure pass-through, no counters, no region state —
-		// byte-identical (and contention-identical) to no sampler.
+		// byte-identical to no sampler.
 		return true
 	}
 	s := d.lookup(d.regionKey(pc, addr))
-	var forward, firstBurst bool
-	for {
-		old := s.state.Load()
-		remaining, skip, gap := unpackState(old)
-		firstBurst = gap == 0 ||
-			(skip == 0 && remaining > 0 && gap == d.opt.BurstLength)
-		var next uint64
-		switch {
-		case remaining > 0:
-			forward = true
-			next = packState(remaining-1, skip, gap)
-		case skip > 0:
-			forward = false
-			next = packState(0, skip-1, gap)
-		case gap == 0:
-			// Untouched cold region: full first burst, no skip yet.
-			forward = true
-			next = packState(d.opt.BurstLength-1, 0, d.opt.BurstLength)
-		default:
-			// Budget refresh: the gap grows until the floor rate is reached.
-			forward = true
-			maxGap := d.maxGap(rate)
-			g := gap
-			if hi, lo := bits.Mul32(gap, d.opt.Decay); hi == 0 {
-				g = lo
-			} else {
-				g = maxGap
-			}
-			if g > maxGap {
-				g = maxGap
-			}
-			next = packState(d.opt.BurstLength-1, g, g)
+	remaining, skip, gap := unpackState(s.state)
+	firstBurst := gap == 0 ||
+		(skip == 0 && remaining > 0 && gap == d.opt.BurstLength)
+	forward := true
+	switch {
+	case remaining > 0:
+		s.state = packState(remaining-1, skip, gap)
+	case skip > 0:
+		forward = false
+		s.state = packState(0, skip-1, gap)
+	case gap == 0:
+		// Untouched cold region: full first burst, no skip yet.
+		s.state = packState(d.opt.BurstLength-1, 0, d.opt.BurstLength)
+	default:
+		// Budget refresh: the gap grows until the floor rate is reached.
+		maxGap := d.maxGap(rate)
+		g := gap
+		if hi, lo := bits.Mul32(gap, d.opt.Decay); hi == 0 {
+			g = lo
+		} else {
+			g = maxGap
 		}
-		if s.state.CompareAndSwap(old, next) {
-			break
+		if g > maxGap {
+			g = maxGap
 		}
+		s.state = packState(d.opt.BurstLength-1, g, g)
 	}
-	if forward && rate > 0 && !firstBurst {
+	if forward && rate > 0 && !firstBurst &&
+		d.forwarded*1000 >= (d.forwarded+d.skipped+1)*uint64(rate) {
 		// Global credit check: once the run-wide forwarded fraction is at
 		// the budget, only untouched-cold-region bursts may exceed it.
-		f, sk := d.forwarded.Load(), d.skipped.Load()
-		if f*1000 >= (f+sk+1)*uint64(rate) {
-			forward = false
-		}
+		forward = false
 	}
 	if forward {
-		d.forwarded.Add(1)
+		d.forwarded++
 		d.met.Forwarded.Inc()
 	} else {
-		d.skipped.Add(1)
+		d.skipped++
 		d.met.Skipped.Inc()
 	}
 	return forward

@@ -1,13 +1,15 @@
 package sampling
 
 import (
+	"io"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/detector"
 	"repro/internal/event"
 	"repro/internal/sim"
-	"repro/internal/vc"
+	"repro/internal/telemetry"
 	"repro/workloads"
 )
 
@@ -193,7 +195,7 @@ func TestSetRateLiveTransition(t *testing.T) {
 }
 
 // The skip path must not allocate: once a region is hot, skipping its
-// accesses is a table lookup plus a CAS.
+// accesses is a table lookup plus a state store.
 func TestSkipPathZeroAlloc(t *testing.T) {
 	s := New(event.Nop{}, Options{BurstLength: 4, RatePermille: 1})
 	for i := 0; i < 10000; i++ {
@@ -207,55 +209,126 @@ func TestSkipPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// The sampler must be shard-safe: concurrent producers hammering
-// overlapping and distinct sites (forcing table growth) while the rate
-// changes underneath them. Run under -race in CI.
-func TestConcurrentProducers(t *testing.T) {
-	c := &event.Counter{} // not written: Nop under test avoids Counter's own races
-	_ = c
-	s := New(event.Nop{}, Options{BurstLength: 8, RatePermille: 100})
-	const producers = 8
+// The sampler has one producer, but the Controller's SetRatePermille and
+// telemetry scrapes reach it from other goroutines while events flow.
+// Those observers must stay race-free: one producer forces the region
+// table through several doublings while a sweeper moves the rate and a
+// scraper exports the registry. Run under -race in CI.
+func TestConcurrentObservers(t *testing.T) {
+	reg := telemetry.New()
+	s := New(event.Nop{}, Options{BurstLength: 8, RatePermille: 100, Telemetry: reg})
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < 20000; i++ {
-				// Shared hot sites plus per-producer cold sites: the cold
-				// tail forces the region table through several growths.
-				pc := event.PC(i % 16)
-				if i%97 == 0 {
-					pc = event.PC(1000 + p*20000 + i)
-				}
-				s.Write(vc.TID(p), uint64(i), 4, pc)
-				s.Read(vc.TID(p), uint64(i), 4, pc)
-				if i%1000 == 0 {
-					s.Acquire(vc.TID(p), 1)
-					s.Release(vc.TID(p), 1)
-				}
-			}
-		}(p)
-	}
-	done := make(chan struct{})
+	wg.Add(2)
 	go func() {
-		defer close(done)
-		// Sweep through budgeted rates and pass-through and back: the
-		// producers must survive every transition. End below 1000 so the
-		// final stretch still counts (pass-through counts nothing).
+		defer wg.Done()
+		// Sweep through budgeted rates and pass-through and back. End below
+		// 1000 so the final stretch still counts (pass-through counts
+		// nothing).
 		for r := uint32(10); r <= 910; r += 90 {
 			s.SetRatePermille(r)
 			s.SetRatePermille(1000)
 			s.SetRatePermille(r)
 		}
 	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			reg.WritePrometheus(io.Discard)
+			_ = reg.GaugeValue("detector_sampled_fraction")
+			_ = s.RatePermille()
+		}
+	}()
+	for i := 0; i < 100000; i++ {
+		// Hot sites plus a cold tail that grows the region table.
+		pc := event.PC(i % 16)
+		if i%97 == 0 {
+			pc = event.PC(1000 + i)
+		}
+		s.Write(0, uint64(i), 4, pc)
+		s.Read(0, uint64(i), 4, pc)
+		if i%1000 == 0 {
+			s.Acquire(0, 1)
+			s.Release(0, 1)
+		}
+	}
+	close(stop)
 	wg.Wait()
-	<-done
 	f, sk := s.Counts()
 	if f == 0 {
-		t.Error("no accesses forwarded under concurrency")
+		t.Error("no accesses forwarded")
 	}
-	if f+sk == 0 {
-		t.Error("sampler observed nothing")
+	if got := reg.CounterValue("sampling_forwarded_total"); got != f {
+		t.Errorf("sampling_forwarded_total %d, Counts forwarded %d", got, f)
+	}
+	if got := reg.CounterValue("sampling_skipped_total"); got != sk {
+		t.Errorf("sampling_skipped_total %d, Counts skipped %d", got, sk)
+	}
+	if g := reg.GaugeValue("detector_sampled_fraction"); g != s.Rate() {
+		t.Errorf("detector_sampled_fraction %v, Rate %v", g, s.Rate())
+	}
+}
+
+// A region whose own insert doubles the region table must keep that
+// access's state update: its forward/skip pattern is the same whether or
+// not the table grew under it.
+func TestGrowKeepsInsertingRegionState(t *testing.T) {
+	pattern := func(fill int) string {
+		c := &event.Counter{}
+		s := New(c, Options{BurstLength: 4})
+		for i := 0; i < fill; i++ {
+			s.Write(0, 0, 4, event.PC(1000+i)) // distinct regions, one access each
+		}
+		slots := len(s.slots)
+		var b strings.Builder
+		for i := 0; i < 40; i++ {
+			before := c.Writes
+			s.Write(0, 0x40000, 4, 7)
+			if c.Writes > before {
+				b.WriteByte('F')
+			} else {
+				b.WriteByte('.')
+			}
+		}
+		if grew := len(s.slots) > slots; grew != (fill > 0) {
+			t.Fatalf("fill %d: table grew on the probed insert = %v", fill, grew)
+		}
+		return b.String()
+	}
+	// 767 regions leave the 1024-slot table one insert short of 3/4 full.
+	if plain, doubled := pattern(0), pattern(767); plain != doubled {
+		t.Errorf("doubling changed the region's pattern:\nplain   %s\ndoubled %s", plain, doubled)
+	}
+}
+
+// The one (site, block) pair whose mixed key is zero — the empty-slot
+// marker — must still occupy a single slot, not look new on every access.
+func TestZeroRegionKeyOccupiesOneSlot(t *testing.T) {
+	const c = 0x9E3779B97F4A7C15
+	inv := uint64(c) // Newton's iteration for c's inverse mod 2^64
+	for i := 0; i < 6; i++ {
+		inv *= 2 - c*inv
+	}
+	s := New(event.Nop{}, Options{BurstLength: 4})
+	// Find a site whose zero-key block fits in an address.
+	var pc, block uint64
+	for block = inv - 1; block>>(64-s.opt.BlockShift) != 0; block = (pc+1)*inv - 1 {
+		pc++
+	}
+	addr := block << s.opt.BlockShift
+	if k := s.regionKey(event.PC(pc), addr); k == 0 {
+		t.Fatal("regionKey returned the empty-slot marker")
+	}
+	for i := 0; i < 10000; i++ {
+		s.Write(0, addr, 4, event.PC(pc))
+	}
+	if s.used != 1 || len(s.slots) != 1024 {
+		t.Errorf("zero-key region: %d slots used of %d, want 1 of 1024", s.used, len(s.slots))
 	}
 }
 
@@ -273,5 +346,33 @@ func TestGoSyncAlwaysForwarded(t *testing.T) {
 	if c.ChanSends != 50 || c.ChanRecvs != 50 || c.WGAdds != 50 ||
 		c.WGDones != 50 || c.WGWaits != 50 {
 		t.Errorf("Go-native sync sampled away: %+v", *c)
+	}
+}
+
+// BenchmarkSampleSkip measures the skip path: one hot region at a 0.1%
+// budget, so nearly every access is dropped.
+func BenchmarkSampleSkip(b *testing.B) {
+	s := New(event.Nop{}, Options{BurstLength: 4, RatePermille: 1})
+	for i := 0; i < 10000; i++ {
+		s.Write(0, 0x100, 4, 7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Write(0, 0x100, 4, 7)
+	}
+}
+
+// BenchmarkSampleForward measures the forward path: one region inside a
+// maximal first burst, so every access is forwarded. A fresh sampler
+// replaces the old one before its burst runs out.
+func BenchmarkSampleForward(b *testing.B) {
+	var s *Detector
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%maxRemaining == 0 {
+			s = New(event.Nop{}, Options{BurstLength: maxRemaining})
+		}
+		s.Write(0, 0x100, 4, 7)
 	}
 }

@@ -152,7 +152,7 @@ func (t *Thread) Select(chs ...event.ChanID) (int, uint64) {
 			}
 		}
 		if len(ready) > 0 {
-			i := ready[t.rng.Intn(len(ready))]
+			i := ready[t.Rand().Intn(len(ready))]
 			if v, ok := t.tryRecv(chs[i]); ok {
 				return i, v
 			}

@@ -100,7 +100,7 @@ type Thread struct {
 	budget int
 
 	site event.PC
-	rng  *rand.Rand
+	rng  *rand.Rand // built by Rand on first use
 
 	body    func(*Thread)
 	joiners []*Thread
@@ -119,8 +119,14 @@ type Thread struct {
 func (t *Thread) ID() vc.TID { return t.id }
 
 // Rand returns the thread's private deterministic RNG, seeded from the
-// engine seed and the thread id.
-func (t *Thread) Rand() *rand.Rand { return t.rng }
+// engine seed and the thread id. It is built on first use: most programs
+// never draw, and a math/rand source costs ~5 KB to seed.
+func (t *Thread) Rand() *rand.Rand {
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(t.eng.opts.Seed*1000003 + int64(t.id)))
+	}
+	return t.rng
+}
 
 // At sets the synthetic program counter (code-site id, application module)
 // attributed to subsequent accesses.
@@ -235,7 +241,6 @@ func (e *Engine) newThread(body func(*Thread)) *Thread {
 		status: statusReady,
 		body:   body,
 	}
-	t.rng = rand.New(rand.NewSource(e.opts.Seed*1000003 + int64(t.id)))
 	e.threads = append(e.threads, t)
 	go t.run()
 	return t

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -420,6 +421,38 @@ func TestThreadRandDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("thread RNG must be deterministic per seed")
+		}
+	}
+}
+
+// A thread's RNG is built on first use with the documented seed formula,
+// so its draws are the same as an eagerly seeded source's.
+func TestThreadRandSeedFormula(t *testing.T) {
+	const seed = 99
+	got := map[vc.TID][]int64{}
+	draw := func(w *Thread) {
+		for i := 0; i < 5; i++ {
+			got[w.ID()] = append(got[w.ID()], w.Rand().Int63())
+		}
+	}
+	Run(Program{Name: "rng", Main: func(m *Thread) {
+		a := m.Go(draw)
+		b := m.Go(func(*Thread) {}) // never draws
+		c := m.Go(draw)
+		m.Join(a)
+		m.Join(b)
+		m.Join(c)
+		draw(m)
+	}}, event.Nop{}, Options{Seed: seed})
+	for _, tid := range []vc.TID{0, 1, 3} {
+		want := rand.New(rand.NewSource(seed*1000003 + int64(tid)))
+		for i, v := range got[tid] {
+			if w := want.Int63(); v != w {
+				t.Fatalf("thread %d draw %d: %d, want %d", tid, i, v, w)
+			}
+		}
+		if len(got[tid]) != 5 {
+			t.Fatalf("thread %d drew %d values, want 5", tid, len(got[tid]))
 		}
 	}
 }

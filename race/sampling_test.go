@@ -1,6 +1,8 @@
 package race
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -150,5 +152,55 @@ func TestServerSheddingCounted(t *testing.T) {
 	}
 	if got := reg.CounterValue("sampling_shed_total"); got != rep.Detector.ShedRecords {
 		t.Errorf("sampling_shed_total %d, report ShedRecords %d", got, rep.Detector.ShedRecords)
+	}
+}
+
+// raceDigest is an order-independent FNV-1a digest of a race set.
+func raceDigest(rs []Race) uint64 {
+	h := fnv.New64a()
+	for _, r := range sortRaces(rs) {
+		fmt.Fprintf(h, "%s %x %d %d %d %d %d\n", r.Kind, r.Addr, r.Size, r.Tid, r.PC, r.OtherTid, r.OtherPC)
+	}
+	return h.Sum64()
+}
+
+// TestAlwaysOnSamplingDecisionsPinned pins the sampler's decisions on the
+// always-on configuration (5% budget, elision, compact clocks, dynamic
+// granularity) at the paper scale: the forwarded/skipped split and the
+// race set of each program and seed. A change to the sampler's internals
+// that claims to keep its decisions must leave every row unchanged.
+func TestAlwaysOnSamplingDecisionsPinned(t *testing.T) {
+	rows := []struct {
+		program            string
+		seed               int64
+		forwarded, skipped uint64
+		races              int
+		digest             uint64
+	}{
+		{"x264", 1, 16564, 332352, 70, 0x58f0ab6e3475568c},
+		{"x264", 2, 16555, 332361, 70, 0x58f0ab6e3475568c},
+		{"fanin", 1, 27596, 536956, 1, 0xb5f39f754c91fe6c},
+		{"fanin", 2, 27553, 536999, 1, 0xb5f39f754c91fe6c},
+		{"pipedag", 1, 17937, 356563, 2, 0x85c7d8e6ead9090d},
+		{"pipedag", 2, 17932, 356568, 2, 0x2563b246a3f8c619},
+	}
+	for _, row := range rows {
+		spec, err := workloads.ByName(row.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := Run(spec.Build(3), Options{
+			Tool: FastTrack, Granularity: Dynamic, Clock: ClockCompact,
+			Budget: 0.05, Elide: true, Seed: row.seed,
+		})
+		st := rep.Detector
+		if st.SampledForwarded != row.forwarded || st.SampledSkipped != row.skipped {
+			t.Errorf("%s seed %d: forwarded/skipped %d/%d, want %d/%d", row.program, row.seed,
+				st.SampledForwarded, st.SampledSkipped, row.forwarded, row.skipped)
+		}
+		if d := raceDigest(rep.Races); len(rep.Races) != row.races || d != row.digest {
+			t.Errorf("%s seed %d: %d races (digest %#x), want %d (%#x)", row.program, row.seed,
+				len(rep.Races), d, row.races, row.digest)
+		}
 	}
 }
