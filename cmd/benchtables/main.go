@@ -1,5 +1,6 @@
-// Command benchtables regenerates the paper's evaluation tables (1–6) and
-// figure demonstrations from live runs of the fourteen benchmark workloads.
+// Command benchtables regenerates the paper's evaluation tables (1–6), the
+// extensions ablation (Table 7) and figure demonstrations from live runs of
+// the fourteen benchmark workloads.
 //
 // Usage:
 //
@@ -7,14 +8,7 @@
 //	benchtables -table 1        # one table
 //	benchtables -figure 4       # one figure demo
 //	benchtables -bench ferret,dedup -scale 2 -seed 7
-//	benchtables -pipeline-json BENCH_pipeline.json   # worker-sweep bench
-//	benchtables -wire-json BENCH_wire.json           # remote-service bench
-//	benchtables -obs-json BENCH_obs.json             # telemetry overhead bench
-//	benchtables -mem-json BENCH_mem.json             # memory lane (allocs/op, shadow bytes)
-//	benchtables -clock-json BENCH_clock.json         # structure-aware clock lane (ns/event, peak clock bytes)
-//	benchtables -cluster-json BENCH_cluster.json     # sharded-cluster scaling lane (N=1/2/4 members)
-//	benchtables -sampling-json BENCH_sampling.json   # budgeted-sampling lane (races-found-vs-rate curve)
-//	benchtables -hotpath-json BENCH_hotpath.json     # columnar hot-path lane (elide × apply matrix)
+//	benchtables -json           # every table as JSON
 //
 // Every number is measured in-process; nothing is replayed from files. See
 // EXPERIMENTS.md for the paper-vs-measured record.
@@ -37,46 +31,10 @@ func main() {
 		figure  = flag.Int("figure", 0, "render only this figure demo (1, 2 or 4)")
 		scale   = flag.Int("scale", 1, "workload scale factor")
 		seed    = flag.Int64("seed", 42, "scheduler seed")
-		runs    = flag.Int("runs", 3, "timing runs per configuration (median)")
+		runs    = flag.Int("runs", 3, "timing runs per configuration (minimum)")
 		bench   = flag.String("bench", "", "comma-separated benchmark subset")
 		memMB   = flag.Int64("comparator-mem-mb", 0, "comparator memory budget in MB (0 = default)")
 		timeout = flag.Duration("comparator-timeout", 30*time.Second, "comparator wall-time budget")
-
-		pipelineJSON = flag.String("pipeline-json", "",
-			"write the sharded-pipeline worker-sweep bench to this file (e.g. BENCH_pipeline.json)")
-		pipelineWorkers = flag.String("pipeline-workers", "",
-			"comma-separated worker counts for -pipeline-json (default 0,1,2,4,8)")
-
-		wireJSON = flag.String("wire-json", "",
-			"write the wire codec + loopback remote-overhead bench to this file (e.g. BENCH_wire.json)")
-		wireBatches = flag.String("wire-batches", "",
-			"comma-separated batch sizes for -wire-json's codec rows (default 64,2048,8192)")
-
-		obsJSON = flag.String("obs-json", "",
-			"write the telemetry overhead bench to this file (e.g. BENCH_obs.json)")
-		obsWorkers = flag.String("obs-workers", "",
-			"comma-separated worker counts for -obs-json (default 0,2)")
-
-		memJSON = flag.String("mem-json", "",
-			"write the memory lane (shadow bytes, live nodes, allocs/op, GC pauses per workload × granularity) to this file (e.g. BENCH_mem.json)")
-
-		clockJSON = flag.String("clock-json", "",
-			"write the structure-aware clock lane (general vs compact ns/event and peak clock bytes per Go-native workload) to this file (e.g. BENCH_clock.json)")
-
-		clusterJSON = flag.String("cluster-json", "",
-			"write the detection-cluster scaling lane (events/s and p50 fan-out latency at 1/2/4 loopback members) to this file (e.g. BENCH_cluster.json)")
-		clusterMembers = flag.String("cluster-members", "",
-			"comma-separated member counts for -cluster-json (default 1,2,4)")
-
-		samplingJSON = flag.String("sampling-json", "",
-			"write the budgeted-sampling lane (races-found-vs-rate curve per workload × budget) to this file (e.g. BENCH_sampling.json)")
-		samplingBudgets = flag.String("sampling-budgets", "",
-			"comma-separated budget fractions for -sampling-json (default 1,0.5,0.2,0.1,0.05,0.02,0.01)")
-
-		hotpathJSON = flag.String("hotpath-json", "",
-			"write the columnar hot-path lane (ns/event and wire bytes, elide on/off × record/columnar apply) to this file (e.g. BENCH_hotpath.json)")
-		hotpathBench = flag.String("hotpath-bench", "",
-			"comma-separated workloads for -hotpath-json (default streamcluster,pbzip2,x264,canneal,fanin)")
 	)
 	flag.Parse()
 
@@ -111,209 +69,6 @@ func main() {
 		cfg.Benchmarks = strings.Split(*bench, ",")
 	}
 	r := tables.NewRunner(cfg)
-
-	if *pipelineJSON != "" {
-		var sweep []int
-		if *pipelineWorkers != "" {
-			for _, tok := range strings.Split(*pipelineWorkers, ",") {
-				var w int
-				if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &w); err != nil || w < 0 {
-					fmt.Fprintf(os.Stderr, "bad -pipeline-workers entry %q\n", tok)
-					os.Exit(2)
-				}
-				sweep = append(sweep, w)
-			}
-		}
-		f, err := os.Create(*pipelineJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WritePipelineJSON(f, sweep)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *pipelineJSON)
-		return
-	}
-
-	if *memJSON != "" {
-		f, err := os.Create(*memJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteMemJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *memJSON)
-		return
-	}
-
-	if *clockJSON != "" {
-		f, err := os.Create(*clockJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteClockJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *clockJSON)
-		return
-	}
-
-	if *clusterJSON != "" {
-		var counts []int
-		if *clusterMembers != "" {
-			for _, tok := range strings.Split(*clusterMembers, ",") {
-				var n int
-				if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &n); err != nil || n <= 0 {
-					fmt.Fprintf(os.Stderr, "bad -cluster-members entry %q\n", tok)
-					os.Exit(2)
-				}
-				counts = append(counts, n)
-			}
-		}
-		f, err := os.Create(*clusterJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteClusterJSON(f, counts)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *clusterJSON)
-		return
-	}
-
-	if *samplingJSON != "" {
-		var budgets []float64
-		if *samplingBudgets != "" {
-			for _, tok := range strings.Split(*samplingBudgets, ",") {
-				var b float64
-				if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%g", &b); err != nil || b <= 0 || b > 1 {
-					fmt.Fprintf(os.Stderr, "bad -sampling-budgets entry %q (want a fraction in (0,1])\n", tok)
-					os.Exit(2)
-				}
-				budgets = append(budgets, b)
-			}
-		}
-		f, err := os.Create(*samplingJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteSamplingJSON(f, budgets)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *samplingJSON)
-		return
-	}
-
-	if *hotpathJSON != "" {
-		var names []string
-		if *hotpathBench != "" {
-			names = strings.Split(*hotpathBench, ",")
-		}
-		f, err := os.Create(*hotpathJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteHotpathJSON(f, names)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *hotpathJSON)
-		return
-	}
-
-	if *obsJSON != "" {
-		var sweep []int
-		if *obsWorkers != "" {
-			for _, tok := range strings.Split(*obsWorkers, ",") {
-				var w int
-				if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &w); err != nil || w < 0 {
-					fmt.Fprintf(os.Stderr, "bad -obs-workers entry %q\n", tok)
-					os.Exit(2)
-				}
-				sweep = append(sweep, w)
-			}
-		}
-		f, err := os.Create(*obsJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteObsJSON(f, sweep)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *obsJSON)
-		return
-	}
-
-	if *wireJSON != "" {
-		var sizes []int
-		if *wireBatches != "" {
-			for _, tok := range strings.Split(*wireBatches, ",") {
-				var n int
-				if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &n); err != nil || n <= 0 {
-					fmt.Fprintf(os.Stderr, "bad -wire-batches entry %q\n", tok)
-					os.Exit(2)
-				}
-				sizes = append(sizes, n)
-			}
-		}
-		f, err := os.Create(*wireJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteWireJSON(f, sizes)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *wireJSON)
-		return
-	}
 
 	if *asJSON {
 		if err := r.WriteJSON(os.Stdout); err != nil {

@@ -35,10 +35,10 @@ package client
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
-	"time"
-
 	"sync"
+	"time"
 
 	"repro/internal/event"
 	"repro/internal/telemetry"
@@ -85,8 +85,9 @@ type Options struct {
 	// ReportTimeout bounds the wait for the final report after Close
 	// (default 60s).
 	ReportTimeout time.Duration
-	// Logf, when non-nil, receives reconnect/resume diagnostics.
-	Logf func(format string, args ...any)
+	// Logger, when non-nil, receives structured reconnect/resume records.
+	// When nil, logging is off.
+	Logger *slog.Logger
 	// Telemetry, when non-nil, receives the client transport instrument
 	// families: batch/event/reconnect/resend counters (mirroring Stats),
 	// a frame-encode latency histogram and an ack round-trip histogram.
@@ -122,6 +123,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReportTimeout <= 0 {
 		o.ReportTimeout = 60 * time.Second
+	}
+	if o.Logger == nil {
+		o.Logger = telemetry.NewDiscardLogger()
 	}
 	return o
 }
@@ -279,12 +283,6 @@ func Dial(opts Options) (*Client, error) {
 	return c, nil
 }
 
-func (c *Client) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf(format, args...)
-	}
-}
-
 // SessionID returns the server-assigned session identifier.
 func (c *Client) SessionID() uint64 {
 	c.mu.Lock()
@@ -345,7 +343,8 @@ func (c *Client) connectLocked() error {
 				c.cond.Broadcast()
 				return err
 			}
-			c.logf("connect attempt %d/%d failed: %v", attempt+1, c.opts.MaxAttempts, err)
+			c.opts.Logger.Warn("connect attempt failed",
+				"addr", c.opts.Addr, "attempt", attempt+1, "max_attempts", c.opts.MaxAttempts, "err", err)
 			continue
 		}
 		c.traced = ack.Trace && c.opts.TraceSample > 0
@@ -361,8 +360,8 @@ func (c *Client) connectLocked() error {
 		if resuming {
 			c.stats.Reconnects++
 			c.met.reconnects.Inc()
-			c.logf("resumed session %d at seq %d, replaying %d frame(s)",
-				ack.SessionID, ack.ResumeSeq, len(c.unacked))
+			c.opts.Logger.Info("session resumed",
+				"session", ack.SessionID, "seq", ack.ResumeSeq, "replay_frames", len(c.unacked))
 		}
 		// Replay everything past the server's resume point.
 		for i := range c.unacked {

@@ -1,11 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"net"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,10 +144,12 @@ func TestReconnectResume(t *testing.T) {
 	ref := detector.New(detector.Config{Granularity: detector.Dynamic})
 	sim.Run(spec.Program(), ref, sim.Options{Seed: 42})
 
+	var logs lockedBuffer
 	cl, err := Dial(Options{
 		Addr:        addr,
 		Hello:       wire.Hello{Granularity: uint8(detector.Dynamic), Workers: 2},
 		BackoffBase: time.Millisecond,
+		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +194,30 @@ func TestReconnectResume(t *testing.T) {
 		if st.Reconnects == 0 {
 			t.Fatalf("connection killed %d time(s) but no reconnects recorded: %+v", n, st)
 		}
+		if got := strings.Count(logs.String(), `msg="session resumed"`); got != int(st.Reconnects) {
+			t.Errorf("%d session-resumed log records, want one per reconnect (%d)", got, st.Reconnects)
+		}
 		t.Logf("killed %d connection(s): %+v", n, st)
 	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to write from the client's
+// goroutines and read from the test's.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func TestDialFailureGivesUp(t *testing.T) {

@@ -69,10 +69,6 @@ type Options struct {
 	// Detector is the FastTrack configuration applied to every worker; the
 	// pipeline fills in the Shard/Shards fields.
 	Detector detector.Config
-	// ChannelDepth is the per-worker ring depth (0 = default 8; rounded
-	// up to a power of two). Deeper rings absorb bursts; the ring bounds
-	// memory because batches are bounded by the flush threshold.
-	ChannelDepth int
 	// BatchPolicy, when non-nil, adapts the router's batch flush
 	// threshold to worker-queue back-pressure (see event.BatchPolicy):
 	// small batches while workers are starved, full batches while they
@@ -283,15 +279,16 @@ type Pipeline struct {
 // Must be called from the execution thread, like every Sink method.
 func (p *Pipeline) SetTrace(trace, span uint64) { p.trace, p.span = trace, span }
 
+// ringDepth is the per-worker ring depth in batches. Deeper rings absorb
+// bursts; the ring bounds memory because batches are bounded by the flush
+// threshold.
+const ringDepth = 8
+
 // New starts a pipeline with opts.Workers detection workers.
 func New(opts Options) *Pipeline {
 	n := opts.Workers
 	if n < 1 {
 		n = 1
-	}
-	depth := opts.ChannelDepth
-	if depth <= 0 {
-		depth = 8
 	}
 	p := &Pipeline{
 		workers: make([]*worker, n),
@@ -319,7 +316,7 @@ func New(opts Options) *Pipeline {
 			wcfg.Shards, wcfg.Shard = n, i
 		}
 		w := &worker{
-			q:      newRing(depth, prodParks, consParks),
+			q:      newRing(ringDepth, prodParks, consParks),
 			det:    detector.New(wcfg),
 			provOn: wcfg.Provenance,
 			shard:  i,

@@ -62,21 +62,15 @@ type Options struct {
 	WriteTimeout time.Duration
 	// Window caps the granted in-flight batch window (default 64).
 	Window int
-	// AckEvery caps the acknowledgement cadence in batches (default 8; the
-	// granted cadence never exceeds half the granted window).
-	AckEvery int
 	// MaxWorkers caps the per-session detection shard count a Hello may
 	// request (default 4; requests of 0 get 1).
 	MaxWorkers int
 	// SessionLinger keeps a detached session resumable after its
 	// connection drops before aborting it (default 10s).
 	SessionLinger time.Duration
-	// Logf, when non-nil, receives one line per session lifecycle event
-	// (legacy printf sink; superseded by Logger when both are set).
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives structured session lifecycle records
 	// with typed fields (session id, granularity, workers, ...). When nil,
-	// records are rendered onto Logf; when both are nil, logging is off.
+	// logging is off.
 	Logger *slog.Logger
 	// Telemetry, when non-nil, is the registry the server's racedetectd_*
 	// families and per-session (session-labeled) pipeline/detector families
@@ -132,9 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Window <= 0 {
 		o.Window = 64
-	}
-	if o.AckEvery <= 0 {
-		o.AckEvery = 8
 	}
 	if o.MaxWorkers <= 0 {
 		o.MaxWorkers = 4
@@ -270,7 +261,7 @@ func New(opts Options) *Server {
 	}
 	s.log = s.opts.Logger
 	if s.log == nil {
-		s.log = telemetry.NewLogfLogger(s.opts.Logf)
+		s.log = telemetry.NewDiscardLogger()
 	}
 	s.met = serverMetrics{
 		sessionsTotal:   s.reg.Counter("racedetectd_sessions_total", "Sessions ever opened."),
@@ -779,13 +770,7 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 	if window <= 0 || window > s.opts.Window {
 		window = s.opts.Window
 	}
-	ackEvery := s.opts.AckEvery
-	if ackEvery > window/2 {
-		ackEvery = window / 2
-	}
-	if ackEvery < 1 {
-		ackEvery = 1
-	}
+	ackEvery := max(1, min(maxAckEvery, window/2))
 	var tracer *telemetry.Tracer
 	if traced {
 		tracer = s.tracer
@@ -826,6 +811,10 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 	ack = wire.HelloAck{SessionID: sess.id, Window: window, AckEvery: ackEvery, Trace: traced}
 	return sess, ack, nil
 }
+
+// maxAckEvery caps the acknowledgement cadence in batches; the granted
+// cadence never exceeds half the granted window.
+const maxAckEvery = 8
 
 // maxRecentRaces bounds the /debug/provenance ring.
 const maxRecentRaces = 1024

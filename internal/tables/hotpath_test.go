@@ -4,72 +4,153 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detector"
 	"repro/internal/event"
+	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/workloads"
 )
 
-// TestHotpathBenchGates runs the hot-path lane on its locality anchor and
-// one honest negative and pins the properties BENCH_hotpath.json claims:
+// captureStream runs the program once and returns its full event stream.
+func captureStream(spec workloads.Spec, scale int, seed int64) []event.Rec {
+	var recs []event.Rec
+	enc := &event.Encoder{Flush: func(b *event.Batch) {
+		recs = append(recs, b.Recs...)
+		event.PutBatch(b)
+	}}
+	sim.Run(spec.Build(scale), enc, sim.Options{Seed: seed})
+	enc.Close()
+	return recs
+}
+
+// elideStream replays recs through the front-line filter and returns the
+// surviving stream plus the elided count.
+func elideStream(recs []event.Rec) ([]event.Rec, uint64) {
+	var out []event.Rec
+	enc := &event.Encoder{Flush: func(b *event.Batch) {
+		out = append(out, b.Recs...)
+		event.PutBatch(b)
+	}}
+	el := event.NewElider(enc, event.EliderOptions{})
+	for i := range recs {
+		event.ApplyRec(el, &recs[i])
+	}
+	enc.Close()
+	return out, el.Elided()
+}
+
+// wireBytes measures the columnar payload size of the stream at the
+// transport batch size (frame headers excluded — their size is fixed).
+func wireBytes(recs []event.Rec) uint64 {
+	var total uint64
+	var buf []byte
+	for lo := 0; lo < len(recs); lo += event.DefaultBatchSize {
+		hi := min(lo+event.DefaultBatchSize, len(recs))
+		buf = wire.AppendColumnar(buf[:0], recs[lo:hi])
+		total += uint64(len(buf))
+	}
+	return total
+}
+
+// chunkCols pre-builds the stream's columnar batches at the transport
+// batch size, so the timed region measures only detector ingestion — a
+// real session receives its Cols already decoded from the wire.
+func chunkCols(recs []event.Rec) []*event.Cols {
+	var batches []*event.Cols
+	for lo := 0; lo < len(recs); lo += event.DefaultBatchSize {
+		hi := min(lo+event.DefaultBatchSize, len(recs))
+		c := &event.Cols{}
+		for _, r := range recs[lo:hi] {
+			c.Append(r)
+		}
+		batches = append(batches, c)
+	}
+	return batches
+}
+
+// applyStream feeds the stream to a fresh dynamic-granularity detector via
+// the chosen path and returns the apply wall time and the race count.
+// Exactly one of recs/batches is used.
+func applyStream(recs []event.Rec, batches []*event.Cols) (time.Duration, int) {
+	d := detector.New(detector.Config{Granularity: detector.Dynamic})
+	start := time.Now()
+	if batches != nil {
+		for _, c := range batches {
+			d.ApplyCols(c)
+		}
+	} else {
+		for i := range recs {
+			event.ApplyRec(d, &recs[i])
+		}
+	}
+	return time.Since(start), len(d.Races())
+}
+
+// TestHotpathBenchGates pins the columnar hot path (front-line elision,
+// run-collapsed columnar apply) on its locality anchor and one honest
+// negative:
 //
-//   - losslessness: HotpathBench itself fails if any cell's race count
-//     diverges, so a clean return is the verdict-identity gate;
+//   - losslessness: the program's full and elided streams, each applied
+//     record-at-a-time and columnar, report the same race count;
+//   - accounting: applied + elided == events;
+//   - elision only ever shrinks the wire: elide-on bytes <= elide-off
+//     bytes on every workload, including the negative;
 //   - the deterministic wins: on streamcluster the elider must drop a
 //     meaningful fraction of the stream and shrink the wire payload
 //     accordingly (both are exact, replay-stable numbers);
-//   - elision only ever shrinks the wire: elide-on bytes <= elide-off
-//     bytes on every workload, including the negatives;
-//   - a coarse timing sanity bound: the fully optimized cell (elide +
+//   - a coarse timing sanity bound: the fully optimized path (elide +
 //     columnar apply) must not be slower than the fully unoptimized one
-//     (record apply, no elision) on the locality anchor, where the
-//     committed BENCH_hotpath.json records ~0.97x. The margin is a few
-//     percent, so the gate compares the two cells in interleaved pairs,
+//     (record apply, no elision) on the locality anchor. The margin is a
+//     few percent, so the gate compares the two in interleaved pairs,
 //     each on fresh copies of the streams, and bounds the median of the
 //     per-pair ratios, not two separate bests.
 func TestHotpathBenchGates(t *testing.T) {
-	r := NewRunner(Config{Seed: 42, TimingRuns: 1})
-	rows, err := r.HotpathBench([]string{"streamcluster", "canneal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := func(prog string, elide bool, apply string) HotpathRow {
-		for _, row := range rows {
-			if row.Program == prog && row.Elide == elide && row.Apply == apply {
-				return row
+	const scale, seed = 1, 42
+	streams := map[string][2][]event.Rec{}
+	for _, name := range []string{"streamcluster", "canneal"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := captureStream(spec, scale, seed)
+		elided, nElided := elideStream(full)
+		streams[name] = [2][]event.Rec{full, elided}
+		if got := uint64(len(elided)) + nElided; got != uint64(len(full)) {
+			t.Errorf("%s: stream accounting broken: applied %d + elided %d != %d events",
+				name, len(elided), nElided, len(full))
+		}
+		races := -1
+		for _, recs := range [][]event.Rec{full, elided} {
+			for _, cols := range [][]*event.Cols{nil, chunkCols(recs)} {
+				_, n := applyStream(recs, cols)
+				if races < 0 {
+					races = n
+				} else if n != races {
+					t.Errorf("%s: %d races on one hot-path cell, %d on another — hot path is not lossless",
+						name, n, races)
+				}
 			}
 		}
-		t.Fatalf("missing cell %s/elide=%v/%s", prog, elide, apply)
-		return HotpathRow{}
-	}
-	for _, prog := range []string{"streamcluster", "canneal"} {
-		off := cell(prog, false, "record")
-		on := cell(prog, true, "record")
-		if on.WireBytes > off.WireBytes {
-			t.Errorf("%s: elision grew the wire payload: %d > %d bytes", prog, on.WireBytes, off.WireBytes)
+		on, off := wireBytes(elided), wireBytes(full)
+		if on > off {
+			t.Errorf("%s: elision grew the wire payload: %d > %d bytes", name, on, off)
 		}
-		if on.AppliedRecords+on.Elided != on.Events {
-			t.Errorf("%s: stream accounting broken: applied %d + elided %d != %d events",
-				prog, on.AppliedRecords, on.Elided, on.Events)
+		if name != "streamcluster" {
+			continue
 		}
-	}
-	// The locality anchor's deterministic wins (exact at Seed 42, Scale 1;
-	// measured 29% elided, 20% fewer wire bytes).
-	off := cell("streamcluster", false, "record")
-	on := cell("streamcluster", true, "record")
-	if frac := float64(on.Elided) / float64(on.Events); frac < 0.20 {
-		t.Errorf("streamcluster: elided fraction %.3f, want >= 0.20", frac)
-	}
-	if ratio := float64(on.WireBytes) / float64(off.WireBytes); ratio > 0.90 {
-		t.Errorf("streamcluster: elided wire bytes at %.3f of baseline, want <= 0.90", ratio)
+		// The locality anchor's deterministic wins (exact at Seed 42,
+		// Scale 1; measured 29% elided, 20% fewer wire bytes).
+		if frac := float64(nElided) / float64(len(full)); frac < 0.20 {
+			t.Errorf("streamcluster: elided fraction %.3f, want >= 0.20", frac)
+		}
+		if ratio := float64(on) / float64(off); ratio > 0.90 {
+			t.Errorf("streamcluster: elided wire bytes at %.3f of baseline, want <= 0.90", ratio)
+		}
 	}
 	if raceDetectorOn {
 		return // timing under -race measures the instrumentation, not the code
 	}
-	spec, err := workloads.ByName("streamcluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := captureStream(spec, r.cfg.Scale, r.cfg.Seed)
-	elided, _ := elideStream(full)
+	full, elided := streams["streamcluster"][0], streams["streamcluster"][1]
 	ratio := medianPairedRatio(31, 5, func() (a, b func() time.Duration) {
 		f := append([]event.Rec(nil), full...)
 		e := append([]event.Rec(nil), elided...)

@@ -1,12 +1,14 @@
 // Package tables regenerates the paper's evaluation tables (Tables 1–6)
-// from live runs of the fourteen benchmark workloads under every detector
-// configuration, plus demonstrations of Figures 1 and 4. Each table
-// function returns structured rows (used by tests and benches) and can be
-// rendered in the paper's layout.
+// and an extensions ablation (Table 7) from live runs of the fourteen
+// benchmark workloads under every detector configuration, plus
+// demonstrations of Figures 1, 2 and 4. Each table function returns
+// structured rows (used by tests and benches) and can be rendered in the
+// paper's layout.
 //
-// Runs are cached per (benchmark, configuration), so printing all six
-// tables executes each configuration once. Timing rows use the median of
-// several baseline runs to stabilize slowdown factors.
+// Runs are cached per (benchmark, configuration), so printing all seven
+// tables executes each configuration once. Timing rows use the minimum of
+// several runs, instrumented and baseline alike, to stabilize slowdown
+// factors.
 package tables
 
 import (
@@ -99,16 +101,6 @@ func NewRunner(cfg Config) *Runner {
 // Specs returns the benchmarks the runner covers.
 func (r *Runner) Specs() []workloads.Spec { return r.specs }
 
-func optsKey(o race.Options) string {
-	return fmt.Sprintf("%v/%v/nis=%v/nish=%v/wgr=%v/rs=%d/mem=%d/to=%v/w=%d/me=%d/rem=%s/rsync=%v",
-		o.Tool, o.Granularity, o.NoInitState, o.NoInitSharing,
-		o.WriteGuidedReads, o.ReshareInterval, o.MemLimitBytes, o.Timeout,
-		o.Workers, o.MaxEvents, o.Remote, o.RemoteSync) +
-		fmt.Sprintf("/bp=%s/clk=%d/clus=%s/bud=%g/el=%v",
-			o.BatchPolicy, o.Clock, strings.Join(o.Cluster, ","),
-			o.Budget, o.Elide)
-}
-
 // bestDuration returns the minimum of ds: for a deterministic CPU-bound
 // run, the fastest observation is the one least disturbed by the host
 // (scheduler interference only ever adds time), so ratios of minima are
@@ -118,7 +110,7 @@ func bestDuration(ds []time.Duration) time.Duration {
 	return ds[0]
 }
 
-// Baseline returns the uninstrumented run of the benchmark (median timing).
+// Baseline returns the uninstrumented run of the benchmark (minimum timing).
 func (r *Runner) Baseline(s workloads.Spec) baseline {
 	if b, ok := r.bases[s.Name]; ok {
 		return b
@@ -138,11 +130,14 @@ func (r *Runner) Baseline(s workloads.Spec) baseline {
 }
 
 // Report runs (or retrieves) the benchmark under opts. Timing is the
-// median over TimingRuns runs; all other fields come from the last run
+// minimum over TimingRuns runs; all other fields come from the last run
 // (identical across runs by determinism).
 func (r *Runner) Report(s workloads.Spec, opts race.Options) race.Report {
 	opts.Seed = r.cfg.Seed
-	key := s.Name + "|" + optsKey(opts)
+	// The key is the whole Options value (rendered, since Options holds a
+	// slice and is not comparable), so two configurations that differ in
+	// any field never share a cache entry.
+	key := s.Name + "|" + fmt.Sprintf("%#v", opts)
 	if rep, ok := r.cache[key]; ok {
 		return rep
 	}

@@ -178,6 +178,13 @@ func TestRunnerCaching(t *testing.T) {
 	if a.Elapsed != b.Elapsed {
 		t.Error("second lookup should be served from cache")
 	}
+	// Any option that differs makes a different configuration; ReadReset
+	// is one the cache key once left out, so Table 7's read-reset column
+	// silently repeated the plain run.
+	r.Report(s, race.Options{Tool: race.FastTrack, Granularity: race.Dynamic, ReadReset: true})
+	if len(r.cache) != 2 {
+		t.Errorf("cache holds %d entries after two distinct configurations, want 2", len(r.cache))
+	}
 }
 
 // TestAverageSlowdownOrdering checks the headline ordering on a subset:

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -213,5 +214,77 @@ func TestColumnarBytesPerRecordThreshold(t *testing.T) {
 	}
 	if ratio := float64(RecSize) / got; ratio < 4 {
 		t.Fatalf("compression vs packed is %.1fx, want >= 4x", ratio)
+	}
+}
+
+// burstRecs builds a deterministic batch of n records shaped like a real
+// instrumented execution rather than white noise: threads run in
+// scheduling bursts of random length (runs of equal tids, chosen at random
+// from eight), each burst walks one buffer with a small fixed stride from
+// a hot loop PC, a quarter of bursts jump to a fresh buffer, PC and
+// element width, and sequence numbers increase monotonically. Unlike
+// streamRecs's fixed round-robin quantum, the tid and address columns
+// here see irregular switches.
+func burstRecs(n int, seed int64) []event.Rec {
+	rng := rand.New(rand.NewSource(seed))
+	const threads = 8
+	type cursor struct {
+		addr   uint64
+		pc     event.PC
+		stride uint64
+		size   uint32
+	}
+	cur := make([]cursor, threads)
+	for t := range cur {
+		cur[t] = cursor{
+			addr:   0x10000 + uint64(t)<<20,
+			pc:     event.PC(0x400000 + rng.Intn(64)*4),
+			stride: 4,
+			size:   4,
+		}
+	}
+	recs := make([]event.Rec, n)
+	tid, left := 0, 0
+	for i := range recs {
+		if left == 0 {
+			tid = rng.Intn(threads)
+			left = 16 + rng.Intn(48)
+			if rng.Intn(4) == 0 {
+				c := &cur[tid]
+				c.addr = 0x10000 + uint64(rng.Intn(1<<12))<<8
+				c.pc = event.PC(0x400000 + rng.Intn(64)*4)
+				if rng.Intn(2) == 0 {
+					c.stride, c.size = 8, 8
+				} else {
+					c.stride, c.size = 4, 4
+				}
+			}
+		}
+		left--
+		c := &cur[tid]
+		op := event.OpRead
+		if i%3 == 0 {
+			op = event.OpWrite
+		}
+		recs[i] = event.Rec{
+			Op: op, Tid: vc.TID(tid), Addr: c.addr,
+			Size: c.size, PC: c.pc, Seq: uint64(i),
+		}
+		c.addr += c.stride
+	}
+	return recs
+}
+
+// TestColumnarFrameCompressionOnBurstStream pins the transport's ≥4×
+// promise on whole frames: at the default batch size, a columnar frame of
+// the burst stream (header included) must be at least 4× smaller than the
+// same batch framed as packed records (HeaderSize + n × RecSize).
+func TestColumnarFrameCompressionOnBurstStream(t *testing.T) {
+	n := event.DefaultBatchSize
+	frame := AppendBatchFrame(nil, Header{Session: 1}, &event.Batch{Recs: burstRecs(n, int64(n))})
+	packed := HeaderSize + n*RecSize
+	t.Logf("columnar frame %d B vs packed %d B (%.2f B/event)", len(frame), packed, float64(len(frame))/float64(n))
+	if 4*len(frame) > packed {
+		t.Errorf("columnar frame %d B vs packed %d B: less than the promised 4x", len(frame), packed)
 	}
 }

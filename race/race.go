@@ -449,7 +449,8 @@ type Stats struct {
 	Merges, Splits           uint64
 	SharingComparisons       uint64
 
-	// Memory-layer effectiveness (the BENCH_mem.json lane): NodeRecycles
+	// Memory-layer effectiveness (perfbench reports them as
+	// dyngran.node_recycles, vc.pool_hit_frac and vc.interns): NodeRecycles
 	// counts shadow-node creations served from the per-plane freelists
 	// instead of the Go heap; VCPoolHits/VCPoolMisses count vector-clock
 	// backing-array requests served from / missed by the size-classed

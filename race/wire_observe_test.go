@@ -77,8 +77,9 @@ func TestWireTelemetryReconciliation(t *testing.T) {
 }
 
 // TestRingTelemetry checks the ring dispatch registers its occupancy and
-// park instrumentation and the adaptive policy exports a live batch
-// target, on an ordinary local sharded run.
+// park instrumentation, records the router's per-ship dispatch wait, and
+// the adaptive policy exports a live batch target, on an ordinary local
+// sharded run.
 func TestRingTelemetry(t *testing.T) {
 	spec, err := workloads.ByName("ffmpeg")
 	if err != nil {
@@ -115,5 +116,9 @@ func TestRingTelemetry(t *testing.T) {
 	}
 	if target := reg.GaugeValue("pipeline_batch_target"); target < 64 || target > 2048 {
 		t.Errorf("pipeline_batch_target = %v, want within [64, 2048]", target)
+	}
+	wait := reg.HistogramValue("pipeline_dispatch_wait_ns")
+	if p50, p99 := wait.Quantile(0.50), wait.Quantile(0.99); wait.Count == 0 || p50 == 0 || p99 < p50 {
+		t.Errorf("pipeline_dispatch_wait_ns: %d observations, p50=%d p99=%d", wait.Count, p50, p99)
 	}
 }
